@@ -120,60 +120,6 @@ BM_DenseJoinFixedEntries(benchmark::State &state)
 BENCHMARK(BM_DenseJoinFixedEntries)
     ->Arg(64)->Arg(1024)->Arg(16384)->Arg(262144);
 
-/**
- * Backend comparison on the ownership-disciplined join loop (tick,
- * export, join of exports — the regime the tree backend's pruning
- * targets). Arg 0 selects the backend (clock::Backend value), arg 1
- * the number of chains.
- */
-void
-BM_BackendDisciplinedJoin(benchmark::State &state)
-{
-    auto backend = static_cast<clock::Backend>(state.range(0));
-    unsigned chains = static_cast<unsigned>(state.range(1));
-    std::vector<clock_> owners(chains, clock_(backend));
-    std::vector<clock_> exports(chains, clock_(backend));
-    std::vector<clock::Tick> ticks(chains, 0);
-    Rng rng(11);
-    for (unsigned step = 0; step < chains * 8; ++step) {
-        unsigned c = static_cast<unsigned>(rng.below(chains));
-        owners[c].joinWith(exports[rng.below(chains)]);
-        owners[c].tick(c, ++ticks[c]);
-        exports[c] = owners[c];
-    }
-    unsigned i = 0;
-    for (auto _ : state) {
-        unsigned c = i % chains;
-        owners[c].joinWith(exports[(i * 7 + 3) % chains]);
-        if ((i & 63u) == 0) {
-            owners[c].tick(c, ++ticks[c]);
-            exports[c] = owners[c];
-        }
-        ++i;
-        benchmark::DoNotOptimize(owners[c].size());
-    }
-}
-BENCHMARK(BM_BackendDisciplinedJoin)
-    ->ArgsProduct({{0, 1, 2, 3}, {16, 64, 256}});
-
-/** Backend comparison for snapshot copies (the detector's export
- * step): COW's refcount bump vs sparse/tree deep copies. */
-void
-BM_BackendCopy(benchmark::State &state)
-{
-    auto backend = static_cast<clock::Backend>(state.range(0));
-    clock_ vc(backend);
-    Rng rng(12);
-    for (unsigned i = 0; i < 64; ++i)
-        vc.raise(static_cast<clock::ChainId>(rng.below(256)),
-                 static_cast<clock::Tick>(rng.range(1, 1000)));
-    for (auto _ : state) {
-        clock_ copy = vc;
-        benchmark::DoNotOptimize(copy.size());
-    }
-}
-BENCHMARK(BM_BackendCopy)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
 void
 BM_AsyncClockJoin(benchmark::State &state)
 {

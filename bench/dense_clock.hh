@@ -87,6 +87,17 @@ class DenseClock
         return n;
     }
 
+    /** Zero the entries for which @p pred(chain, tick) holds. */
+    template <typename Pred>
+    void
+    eraseIf(Pred &&pred)
+    {
+        for (std::size_t i = 0; i < ticks_.size(); ++i) {
+            if (ticks_[i] != 0 && pred(static_cast<ChainId>(i), ticks_[i]))
+                ticks_[i] = 0;
+        }
+    }
+
     std::uint64_t
     byteSize() const
     {

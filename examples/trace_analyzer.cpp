@@ -12,7 +12,6 @@
  *                  [--model=looper|async]
  *                  [--window-ms=N] [--chains=fifo|greedy]
  *                  [--no-reclaim] [--all-races]
- *                  [--clock=sparse|cow|tree|hybrid]
  *                  [--streaming] [--shards=N]
  *                  [--progress[=N]] [--trace-out=PATH]
  *                  [--metrics-out=PATH]
@@ -109,9 +108,6 @@ usage()
         "                   asserts the expectation (mismatch = error)\n"
         "  --window-ms=N    time window, 0 = off (default 120000)\n"
         "  --chains=fifo|greedy               (default fifo)\n"
-        "  --clock=sparse|cow|tree|hybrid  vector-clock backend\n"
-        "                   (default sparse, or $ASYNCCLOCK_CLOCK);\n"
-        "                   all backends produce identical reports\n"
         "  --no-reclaim     disable heirless-event reclamation\n"
         "  --all-races      disable the user-induced and\n"
         "                   commutativity filters\n"
@@ -185,9 +181,8 @@ usage()
         "  --queue-chunks=N per-session ingest queue depth (default 8)\n"
         "  --admission-timeout-ms=N  ingest wait before 429\n"
         "                   (default 250)\n"
-        "  --clock=B --window-ms=N --all-races --events-out=PATH\n"
-        "                   as for analyze (clock is pinned\n"
-        "                   process-wide; mismatched creates get 409)\n"
+        "  --window-ms=N --all-races --events-out=PATH\n"
+        "                   as for analyze\n"
         "feed options (daemon client; drives one session):\n"
         "  --port=P --session=ID  daemon endpoint + session id\n"
         "  --chunk-bytes=N  ingest chunk size (default 65536)\n"
@@ -386,18 +381,6 @@ cmdAnalyze(int argc, char **argv)
             cfg.chainMode = core::ChainMode::Greedy;
         } else if (arg == "--chains=fifo") {
             cfg.chainMode = core::ChainMode::Fifo;
-        } else if (arg.rfind("--clock=", 0) == 0) {
-            clock::Backend b;
-            if (!clock::parseBackend(arg.c_str() + 8, b)) {
-                std::fprintf(stderr,
-                             "--clock: unknown backend '%s' (want "
-                             "%s)\n",
-                             arg.c_str() + 8,
-                             clock::backendNames());
-                return 2;
-            }
-            clock::setDefaultBackend(b);
-            cfg.clockBackend = b;
         } else if (arg == "--no-reclaim") {
             cfg.reclaimHeirless = false;
             cfg.multiPathReduction = false;
@@ -555,8 +538,8 @@ cmdAnalyze(int argc, char **argv)
     obs::ObsContext octx;
     if (!metricsOut.empty() || servePort >= 0 || !eventsOut.empty()) {
         octx.metrics = &registry;
-        // Fresh per-run clock-substrate numbers (join sizes, copies,
-        // intern hits) under "clock.*".
+        // Fresh per-run clock-substrate numbers (join counts and
+        // sizes) under "clock.*".
         clock::resetClockStats();
         clock::registerClockStats(registry);
     }
@@ -930,12 +913,11 @@ cmdAnalyze(int argc, char **argv)
         return 1;
     }
 
-    std::printf("\nanalysis (%s%s, model=%s, clock=%s): %.3fs, "
+    std::printf("\nanalysis (%s%s, model=%s): %.3fs, "
                 "peak metadata %s\n",
                 detectorName.c_str(),
                 shards > 0 ? strf(", %u shards", shards).c_str() : "",
-                core::modelName(model),
-                clock::backendName(clock::defaultBackend()), elapsed,
+                core::modelName(model), elapsed,
                 humanBytes(mem.peakTotal()).c_str());
     std::printf("%s", mem.summary().c_str());
     if (cfg.phaseTiming && acDetector && n > 0) {
@@ -1093,7 +1075,7 @@ cmdAnalyze(int argc, char **argv)
         if (predict) {
             // Distinct "predicted" section, same deterministic
             // contract: classes ranked, no timings, byte-identical
-            // across runs and clock backends.
+            // across runs.
             reportText += pres.summary.summary() + "\n";
             for (const report::TriageClass &cls :
                  pres.triage.classes) {
@@ -1159,18 +1141,6 @@ cmdDaemon(int argc, char **argv, int firstArg, int port)
         } else if (arg == "--all-races") {
             dcfg.filters.userInducedOnly = false;
             dcfg.filters.commutativityFilter = false;
-        } else if (arg.rfind("--clock=", 0) == 0) {
-            clock::Backend b;
-            if (!clock::parseBackend(arg.c_str() + 8, b)) {
-                std::fprintf(stderr,
-                             "--clock: unknown backend '%s' (want "
-                             "%s)\n",
-                             arg.c_str() + 8,
-                             clock::backendNames());
-                return 2;
-            }
-            clock::setDefaultBackend(b);
-            dcfg.detector.clockBackend = b;
         } else if (arg.rfind("--events-out=", 0) == 0) {
             eventsOut = arg.substr(13);
         } else if (arg == "--predict" ||

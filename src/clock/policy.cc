@@ -1,98 +1,10 @@
 #include "clock/policy.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "obs/metrics.hh"
-#include "support/logging.hh"
 
 namespace asyncclock::clock {
-
-const char *
-backendName(Backend b)
-{
-    switch (b) {
-      case Backend::Sparse:
-        return "sparse";
-      case Backend::Cow:
-        return "cow";
-      case Backend::Tree:
-        return "tree";
-      case Backend::Hybrid:
-        return "hybrid";
-    }
-    return "sparse";
-}
-
-const char *
-backendNames()
-{
-    return "sparse|cow|tree|hybrid";
-}
-
-bool
-parseBackend(const char *name, Backend &out)
-{
-    if (!name)
-        return false;
-    if (!std::strcmp(name, "sparse")) {
-        out = Backend::Sparse;
-        return true;
-    }
-    if (!std::strcmp(name, "cow")) {
-        out = Backend::Cow;
-        return true;
-    }
-    if (!std::strcmp(name, "tree")) {
-        out = Backend::Tree;
-        return true;
-    }
-    if (!std::strcmp(name, "hybrid")) {
-        out = Backend::Hybrid;
-        return true;
-    }
-    return false;
-}
-
-namespace {
-
-Backend
-backendFromEnv()
-{
-    Backend b = Backend::Sparse;
-    const char *env = std::getenv("ASYNCCLOCK_CLOCK");
-    if (env && *env && !parseBackend(env, b))
-        warnOnce("clock.env",
-                 std::string("ASYNCCLOCK_CLOCK=") + env +
-                     " not recognized (want " + backendNames() +
-                     "); using sparse");
-    return b;
-}
-
-std::atomic<Backend> &
-defaultBackendSlot()
-{
-    // Lazily env-seeded so namespace-scope DetectorConfig instances
-    // observe the override regardless of static init order.
-    static std::atomic<Backend> slot{backendFromEnv()};
-    return slot;
-}
-
-} // namespace
-
-Backend
-defaultBackend()
-{
-    return defaultBackendSlot().load(std::memory_order_relaxed);
-}
-
-void
-setDefaultBackend(Backend b)
-{
-    defaultBackendSlot().store(b, std::memory_order_relaxed);
-}
 
 void
 ClockStats::reset()
@@ -102,9 +14,6 @@ ClockStats::reset()
     joinEntriesVisited.store(0, std::memory_order_relaxed);
     deepCopies.store(0, std::memory_order_relaxed);
     sharedCopies.store(0, std::memory_order_relaxed);
-    cowBreaks.store(0, std::memory_order_relaxed);
-    internHits.store(0, std::memory_order_relaxed);
-    internMisses.store(0, std::memory_order_relaxed);
     for (auto &b : joinSizeBuckets)
         b.store(0, std::memory_order_relaxed);
 }
@@ -131,12 +40,6 @@ registerClockStats(obs::MetricsRegistry &reg)
                   [&s, rd] { return rd(s.deepCopies); });
     reg.counterFn("clock.copies_shared",
                   [&s, rd] { return rd(s.sharedCopies); });
-    reg.counterFn("clock.cow_breaks",
-                  [&s, rd] { return rd(s.cowBreaks); });
-    reg.counterFn("clock.intern_hits",
-                  [&s, rd] { return rd(s.internHits); });
-    reg.counterFn("clock.intern_misses",
-                  [&s, rd] { return rd(s.internMisses); });
     for (unsigned i = 0; i < ClockStats::kJoinBuckets; ++i) {
         char name[48];
         std::snprintf(name, sizeof name, "clock.join_size_log2.%02u",

@@ -1,41 +1,18 @@
 /**
  * @file
- * Clock substrate policy: runtime-selectable vector-clock backend.
+ * Clock vocabulary and instrumentation: chain ids, ticks, epochs, and
+ * the process-wide join counters.
  *
  * Every consumer of causal timestamps (detector, FastTrack checkers,
  * gold closure, EventRacer graph, checkpoints, replay verifier) talks
- * to clock::VectorClock, which since the ClockPolicy refactor is a
- * facade over one of four representations:
- *
- *   - Sparse: the original eager sparse map (chain -> tick), now a
- *             canonical-layout SoA table with SIMD join/leq kernels
- *             (clock/soa_table.hh, clock/simd.hh).
- *   - Cow:    copy-on-write interned nodes — copies are refcount
- *             bumps, content-equal clocks can share storage.
- *   - Tree:   a tree clock (Mathur et al., "Tree Clocks: Improving
- *             Vector Clocks for Sparse Dynamic Races", adapted from
- *             threads to chains) with monotone sublinear joins.
- *   - Hybrid: the cow-tree: persistent refcounted tree-clock nodes,
- *             so a snapshot is a pointer bump AND joins prune
- *             monotone subtrees, with path copying only on the
- *             mutated spine (clock/hybrid_clock.hh).
- *
- * The backend is a process-wide runtime choice: the facade's default
- * constructor reads defaultBackend(), which is seeded from the
- * ASYNCCLOCK_CLOCK environment variable ("sparse" | "cow" | "tree" |
- * "hybrid") and may be overridden programmatically (trace_analyzer
- * --clock=...) via setDefaultBackend(). All backends are observationally
- * equivalent: identical get/knows/leq/forEach results, identical
- * serialized (canonically sorted) entry lists, hence byte-identical
- * reports and checkpoints.
- *
- * This header also owns ClockStats, the cheap relaxed-atomic counters
- * behind the obs clock.* metrics (join sizes, copy counts, intern
- * hits), so the backends can be compared on live runs.
+ * to clock::VectorClock (clock/vector_clock.hh). This header holds the
+ * types they share with it plus ClockStats, the cheap relaxed-atomic
+ * counters behind the obs clock.* metrics (join counts, join sizes,
+ * entries visited).
  */
 
-#ifndef ASYNCCLOCK_CLOCK_POLICY_HH
-#define ASYNCCLOCK_CLOCK_POLICY_HH
+#ifndef ASYNCCLOCK_POLICY_HH
+#define ASYNCCLOCK_POLICY_HH
 
 #include <atomic>
 #include <cstdint>
@@ -61,66 +38,26 @@ struct Epoch
     bool operator==(const Epoch &other) const = default;
 };
 
-/** Clock representation backends (see file comment). */
-enum class Backend : std::uint8_t {
-    Sparse = 0,
-    Cow = 1,
-    Tree = 2,
-    Hybrid = 3,
-};
-
-/** Number of backends (checkpoint tag validation, test loops). */
-inline constexpr unsigned kBackendCount = 4;
-
-/** "sparse" | "cow" | "tree" | "hybrid". */
-const char *backendName(Backend b);
-
-/** The full allowed-name set, pipe-separated
- * ("sparse|cow|tree|hybrid") — for usage text and parse errors. */
-const char *backendNames();
-
-/** Parse a backend name; returns false (and leaves @p out alone) on
- * unknown names. Callers reporting the failure should include
- * backendNames() in the message. */
-bool parseBackend(const char *name, Backend &out);
-
-/** The process-wide backend new default-constructed clocks use.
- * Initialized lazily from $ASYNCCLOCK_CLOCK (unset/unknown =>
- * Sparse). */
-Backend defaultBackend();
-
 /**
- * Override the process-wide default backend. Affects clocks
- * constructed afterwards only; existing clocks keep their
- * representation (cross-representation joins convert through the
- * canonical sparse entry view). Call before building detectors and
- * checkers.
- */
-void setDefaultBackend(Backend b);
-
-/**
- * Substrate-wide counters, updated with relaxed atomics from the
- * copy/join/intern paths only (raise/get stay free). joinSizeBuckets
- * is a log2 histogram of the entry count of join sources.
+ * Substrate-wide counters, updated with relaxed atomics from the join
+ * path only (raise/get stay free). joinSizeBuckets is a log2
+ * histogram of the entry count of join sources.
  */
 struct ClockStats
 {
     static constexpr unsigned kJoinBuckets = 16;
 
     std::atomic<std::uint64_t> joins{0};
-    /** Joins resolved without touching entries (same node, empty
-     * source, whole-tree/subtree prune). */
+    /** Joins resolved without touching entries (empty source or
+     * self-join). */
     std::atomic<std::uint64_t> joinFastPaths{0};
     /** Entries actually visited by joins (the work a join did). */
     std::atomic<std::uint64_t> joinEntriesVisited{0};
-    /** Deep clock copies (entry-by-entry). */
+    /** Deep and shared clock copies. Nothing increments these (a
+     * clock copy is a plain value copy); they stay because the
+     * end-to-end benchmark (perfbench/) reports them. */
     std::atomic<std::uint64_t> deepCopies{0};
-    /** Copies served as COW refcount bumps. */
     std::atomic<std::uint64_t> sharedCopies{0};
-    /** COW nodes cloned because a shared node was mutated. */
-    std::atomic<std::uint64_t> cowBreaks{0};
-    std::atomic<std::uint64_t> internHits{0};
-    std::atomic<std::uint64_t> internMisses{0};
     /** log2 histogram of join-source entry counts; bucket i counts
      * sources with size in [2^i, 2^(i+1)), last bucket is overflow. */
     std::atomic<std::uint64_t> joinSizeBuckets[kJoinBuckets];
@@ -145,7 +82,7 @@ struct ClockStats
 namespace detail
 {
 /** Storage for clockStats(). constinit: no static-init guard on the
- * hot paths (every snapshot copy bumps a counter through this). */
+ * hot paths (every join bumps a counter through this). */
 inline constinit ClockStats gClockStats{};
 } // namespace detail
 
@@ -164,4 +101,4 @@ void registerClockStats(obs::MetricsRegistry &reg);
 
 } // namespace asyncclock::clock
 
-#endif // ASYNCCLOCK_CLOCK_POLICY_HH
+#endif // ASYNCCLOCK_POLICY_HH

@@ -5,36 +5,37 @@
  * The sparse clock is a map chain -> tick. The original FlatMap
  * interleaves keys and values (AoS) and places entries by plain linear
  * probing, so the physical layout depends on insertion order and
- * joins must go entry-by-entry. This table changes both properties to
- * make the hot loops (joinWith, leq) SIMD-able:
+ * joins must go entry-by-entry. This table changes both properties so
+ * the hot loops (joinWith, leq) can run lane-wise:
  *
  *   - SoA lanes: keys and ticks live in two parallel uint32 arrays,
- *     so a join is lane-wise max over the tick array and leq is a
- *     lane-wise compare (clock/simd.hh).
+ *     so a join is a pointwise max over the tick array and leq is a
+ *     pointwise compare — plain loops the compiler vectorises.
  *   - Canonical layout via Robin Hood hashing with a total-order tie
  *     break (probe distance, then key): the layout is a pure function
  *     of (key set, capacity), independent of insertion order.
- *     Backward-shift deletion preserves the invariant and growth is
- *     deterministic, so two clocks that passed through the same
- *     entries end up with byte-identical key lanes — and the
- *     join/leq fast path is then a single memcmp plus one vector pass
- *     over the tick lanes, no per-entry probing at all.
+ *     Rebuilding deletion and deterministic growth preserve it, so two
+ *     clocks that passed through the same entries end up with
+ *     byte-identical key lanes — and the join/leq fast path is then a
+ *     single memcmp plus one pass over the tick lanes, no per-entry
+ *     probing at all.
  *
  * Empty slots hold tick 0 — the identity of both max and <= — so the
- * lane kernels can run over the full capacity without masking.
- * Observable behavior (find/insert-max/erase/eraseIf/iteration set)
- * matches FlatMap exactly; only iteration *order* differs, which no
- * clock consumer observes (all serialization sorts canonically).
+ * lane loops can run over the full capacity without masking.
+ * Observable behavior (find/insert-max/eraseIf/iteration set) matches
+ * FlatMap exactly; only iteration *order* differs, which no clock
+ * consumer observes (all serialization sorts canonically).
  */
 
-#ifndef ASYNCCLOCK_CLOCK_SOA_TABLE_HH
-#define ASYNCCLOCK_CLOCK_SOA_TABLE_HH
+#ifndef ASYNCCLOCK_SOA_TABLE_HH
+#define ASYNCCLOCK_SOA_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
-#include "clock/simd.hh"
 #include "support/logging.hh"
 
 namespace asyncclock::clock {
@@ -71,20 +72,6 @@ class SoaTable
         return 0;
     }
 
-    bool
-    contains(std::uint32_t key) const
-    {
-        if (keys_.empty())
-            return false;
-        std::uint32_t i = probeStart(key);
-        while (keys_[i] != emptyKey) {
-            if (keys_[i] == key)
-                return true;
-            i = (i + 1) & mask_;
-        }
-        return false;
-    }
-
     /** Insert-or-max: entry for @p key becomes max(current, @p val).
      * @p val must be nonzero (0 means "absent" in clock semantics). */
     void
@@ -106,33 +93,6 @@ class SoaTable
             grow();
         insertFresh(key, val);
         ++size_;
-    }
-
-    bool
-    erase(std::uint32_t key)
-    {
-        if (keys_.empty())
-            return false;
-        std::uint32_t i = probeStart(key);
-        while (keys_[i] != key) {
-            if (keys_[i] == emptyKey)
-                return false;
-            i = (i + 1) & mask_;
-        }
-        // Backward-shift deletion: slide the rest of the cluster back
-        // one slot while displaced; restores the canonical layout of
-        // the reduced key set.
-        std::uint32_t j = (i + 1) & mask_;
-        while (keys_[j] != emptyKey && dist(j, keys_[j]) > 0) {
-            keys_[i] = keys_[j];
-            ticks_[i] = ticks_[j];
-            i = j;
-            j = (j + 1) & mask_;
-        }
-        keys_[i] = emptyKey;
-        ticks_[i] = 0;
-        --size_;
-        return true;
     }
 
     void
@@ -193,7 +153,7 @@ class SoaTable
     }
 
     /** True when both tables have byte-identical key lanes — the
-     * precondition for the lane-wise join/leq kernels. */
+     * precondition for the lane-wise join/leq loops. */
     bool
     sameLayout(const SoaTable &other) const
     {
@@ -203,9 +163,9 @@ class SoaTable
     }
 
     /**
-     * Pointwise max with @p other. Same-layout pairs take one vector
-     * pass over the tick lanes; otherwise the occupied slots of
-     * @p other are scanned blockwise and inserted individually.
+     * Pointwise max with @p other. Same-layout pairs take one pass
+     * over the tick lanes; otherwise every occupied slot of @p other
+     * is inserted individually.
      */
     void
     joinFrom(const SoaTable &other)
@@ -213,25 +173,13 @@ class SoaTable
         if (other.size_ == 0)
             return;
         if (sameLayout(other)) {
-            simd::maxU32(ticks_.data(), other.ticks_.data(),
-                         static_cast<std::uint32_t>(ticks_.size()));
+            std::uint32_t *dst = ticks_.data();
+            const std::uint32_t *src = other.ticks_.data();
+            for (std::size_t i = 0, n = ticks_.size(); i < n; ++i)
+                dst[i] = std::max(dst[i], src[i]);
             return;
         }
-        const std::uint32_t cap =
-            static_cast<std::uint32_t>(other.keys_.size());
-        std::uint32_t i = 0;
-        for (; i + 4 <= cap; i += 4) {
-            std::uint32_t occ =
-                simd::occupiedMask4(other.keys_.data() + i, emptyKey);
-            while (occ) {
-                unsigned lane =
-                    static_cast<unsigned>(__builtin_ctz(occ));
-                occ &= occ - 1;
-                raiseTo(other.keys_[i + lane],
-                        other.ticks_[i + lane]);
-            }
-        }
-        for (; i < cap; ++i) {
+        for (std::size_t i = 0; i < other.keys_.size(); ++i) {
             if (other.keys_[i] != emptyKey)
                 raiseTo(other.keys_[i], other.ticks_[i]);
         }
@@ -243,10 +191,14 @@ class SoaTable
     {
         if (size_ == 0)
             return true;
-        if (sameLayout(other))
-            return simd::allLeqU32(
-                ticks_.data(), other.ticks_.data(),
-                static_cast<std::uint32_t>(ticks_.size()));
+        if (sameLayout(other)) {
+            const std::uint32_t *a = ticks_.data();
+            const std::uint32_t *b = other.ticks_.data();
+            std::uint32_t above = 0;
+            for (std::size_t i = 0, n = ticks_.size(); i < n; ++i)
+                above |= a[i] > b[i];
+            return above == 0;
+        }
         return forEachWhile(
             [&](std::uint32_t k, const std::uint32_t &t) {
                 return t <= other.get(k);
@@ -334,4 +286,4 @@ class SoaTable
 
 } // namespace asyncclock::clock
 
-#endif // ASYNCCLOCK_CLOCK_SOA_TABLE_HH
+#endif // ASYNCCLOCK_SOA_TABLE_HH

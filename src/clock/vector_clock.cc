@@ -25,34 +25,4 @@ VectorClock::toString() const
     return out;
 }
 
-bool
-VectorClock::operator==(const VectorClock &other) const
-{
-    if (const auto *a = std::get_if<SparseClock>(&rep_)) {
-        if (const auto *b = std::get_if<SparseClock>(&other.rep_))
-            return a->equals(*b);  // SIMD lane path when same-layout
-    }
-    if (const auto *a = std::get_if<CowClock>(&rep_)) {
-        if (const auto *b = std::get_if<CowClock>(&other.rep_)) {
-            if (a->sharesNodeWith(*b))
-                return true;
-        }
-    }
-    if (const auto *a = std::get_if<HybridClock>(&rep_)) {
-        if (const auto *b = std::get_if<HybridClock>(&other.rep_)) {
-            if (a->sharesTreeWith(*b))
-                return true;
-        }
-    }
-    // Sparse equality: nonzero entries must match both ways (a zero
-    // entry equals an absent one); no backend stores zero entries, so
-    // equal sizes plus a one-way pointwise match suffice — with early
-    // exit in both checks.
-    if (size() != other.size())
-        return false;
-    return forEachWhile([&](ChainId c, const Tick &t) {
-        return other.get(c) == t;
-    });
-}
-
 } // namespace asyncclock::clock

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sparse vector clocks over chains, behind a pluggable backend.
+ * Sparse vector clocks over chains.
  *
  * A chain (section 2.4) is either a worker thread or a chain of
  * causally ordered events produced by chain decomposition; chains play
@@ -10,184 +10,41 @@
  * (section 4.2 "Sparse Vectors", following accordion clocks [7]):
  * absent entries mean timestamp 0.
  *
- * Since the ClockPolicy refactor (see clock/policy.hh) VectorClock is
- * a facade over one of four representations selected at construction
- * time — the eager sparse clock (SparseClock, default, now SoA with
- * SIMD join/leq kernels via clock/soa_table.hh), the copy-on-write
- * interned clock (clock/cow_clock.hh), the tree clock
- * (clock/tree_clock.hh), and the persistent cow-tree hybrid
- * (clock/hybrid_clock.hh). All expose the same operation set and
- * identical observable state; mixed-backend joins and comparisons go
- * through the canonical (chain, tick) entry view, so backends can
- * coexist in one process.
+ * The map chain -> tick is a canonical-layout SoA hash table
+ * (clock/soa_table.hh), so joins and comparisons between clocks that
+ * hold the same chain set run as one pass over the tick lanes.
  */
 
-#ifndef ASYNCCLOCK_CLOCK_VECTOR_CLOCK_HH
-#define ASYNCCLOCK_CLOCK_VECTOR_CLOCK_HH
+#ifndef ASYNCCLOCK_VECTOR_CLOCK_HH
+#define ASYNCCLOCK_VECTOR_CLOCK_HH
 
 #include <cstdint>
 #include <string>
-#include <variant>
 
-#include "clock/cow_clock.hh"
-#include "clock/hybrid_clock.hh"
 #include "clock/policy.hh"
 #include "clock/soa_table.hh"
-#include "clock/tree_clock.hh"
 
 namespace asyncclock::clock {
 
-/** The original eager sparse clock: chain id -> last known tick,
- * stored as canonical-layout SoA lanes so joins and comparisons
- * between same-layout clocks run through the SIMD kernels. */
-class SparseClock
+class VectorClock
 {
   public:
-    SparseClock() = default;
+    VectorClock() = default;
 
+    /** Timestamp known for @p chain (0 if none). */
     Tick
     get(ChainId chain) const
     {
         return map_.get(chain);
     }
 
+    /** Raise the entry for @p chain to at least @p tick. */
     void
     raise(ChainId chain, Tick tick)
     {
         if (tick == 0)
             return;
         map_.raiseTo(chain, tick);
-    }
-
-    bool
-    knows(const Epoch &e) const
-    {
-        return e.tick == 0 || get(e.chain) >= e.tick;
-    }
-
-    void
-    joinWith(const SparseClock &other)
-    {
-        ClockStats &st = clockStats();
-        st.joins.fetch_add(1, std::memory_order_relaxed);
-        st.noteJoinSize(other.map_.size());
-        if (other.map_.empty() || &other == this) {
-            st.joinFastPaths.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        map_.joinFrom(other.map_);
-        st.joinEntriesVisited.fetch_add(other.map_.size(),
-                                        std::memory_order_relaxed);
-    }
-
-    bool
-    leq(const SparseClock &other) const
-    {
-        return map_.leqAll(other.map_);
-    }
-
-    bool
-    equals(const SparseClock &other) const
-    {
-        return map_.equals(other.map_);
-    }
-
-    /** True when the SIMD lane fast path applies to this pair. */
-    bool
-    sameLayoutAs(const SparseClock &other) const
-    {
-        return map_.sameLayout(other.map_);
-    }
-
-    std::uint32_t size() const { return map_.size(); }
-    void clear() { map_.clear(); }
-
-    template <typename Pred>
-    void
-    eraseIf(Pred &&pred)
-    {
-        map_.eraseIf(pred);
-    }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        map_.forEach(fn);
-    }
-
-    template <typename Fn>
-    bool
-    forEachWhile(Fn &&fn) const
-    {
-        return map_.forEachWhile(fn);
-    }
-
-    std::uint64_t byteSize() const { return map_.byteSize(); }
-
-  private:
-    SoaTable map_;
-};
-
-/**
- * The clock the rest of the system uses. The representation is fixed
- * per object at construction (default: the process-wide
- * defaultBackend()); copies keep the source's representation.
- */
-class VectorClock
-{
-  public:
-    VectorClock() : VectorClock(defaultBackend()) {}
-
-    explicit VectorClock(Backend b)
-    {
-        if (b == Backend::Cow)
-            rep_.emplace<CowClock>();
-        else if (b == Backend::Tree)
-            rep_.emplace<TreeClock>();
-        else if (b == Backend::Hybrid)
-            rep_.emplace<HybridClock>();
-        // Sparse is the variant's default alternative.
-    }
-
-    /** This clock's representation. */
-    Backend
-    backend() const
-    {
-        return static_cast<Backend>(rep_.index());
-    }
-
-    /** Timestamp known for @p chain (0 if none). */
-    Tick
-    get(ChainId chain) const
-    {
-        return std::visit(
-            [&](const auto &r) { return r.get(chain); }, rep_);
-    }
-
-    /** Raise the entry for @p chain to at least @p tick. */
-    void
-    raise(ChainId chain, Tick tick)
-    {
-        std::visit([&](auto &r) { r.raise(chain, tick); }, rep_);
-    }
-
-    /**
-     * Owner tick: like raise(), but asserts that this clock is chain
-     * @p chain's own clock advancing to a fresh, globally unique
-     * tick. Semantically identical to raise() on every backend; the
-     * tree backend uses the discipline to re-root and certify the
-     * entry so later joins can prune.
-     */
-    void
-    tick(ChainId chain, Tick t)
-    {
-        if (auto *tr = std::get_if<TreeClock>(&rep_))
-            tr->tick(chain, t);
-        else if (auto *h = std::get_if<HybridClock>(&rep_))
-            h->tick(chain, t);
-        else
-            raise(chain, t);
     }
 
     /** Does this clock know epoch @p e (i.e. op(e) happens-before the
@@ -202,25 +59,15 @@ class VectorClock
     void
     joinWith(const VectorClock &other)
     {
-        if (rep_.index() == other.rep_.index()) {
-            std::visit(
-                [&](auto &r) {
-                    using R = std::decay_t<decltype(r)>;
-                    r.joinWith(std::get<R>(other.rep_));
-                },
-                rep_);
-            return;
-        }
-        // Mixed backends: join through the canonical entry view.
         ClockStats &st = clockStats();
         st.joins.fetch_add(1, std::memory_order_relaxed);
-        st.noteJoinSize(other.size());
-        std::uint64_t visited = 0;
-        other.forEach([&](ChainId c, const Tick &t) {
-            ++visited;
-            raise(c, t);
-        });
-        st.joinEntriesVisited.fetch_add(visited,
+        st.noteJoinSize(other.map_.size());
+        if (other.map_.empty() || &other == this) {
+            st.joinFastPaths.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        map_.joinFrom(other.map_);
+        st.joinEntriesVisited.fetch_add(other.map_.size(),
                                         std::memory_order_relaxed);
     }
 
@@ -228,43 +75,28 @@ class VectorClock
     bool
     leq(const VectorClock &other) const
     {
-        if (const auto *a = std::get_if<SparseClock>(&rep_)) {
-            if (const auto *b =
-                    std::get_if<SparseClock>(&other.rep_))
-                return a->leq(*b);  // SIMD lane path when same-layout
-        }
-        if (const auto *a = std::get_if<CowClock>(&rep_)) {
-            if (const auto *b = std::get_if<CowClock>(&other.rep_)) {
-                if (a->sharesNodeWith(*b))
-                    return true;
-            }
-        }
-        if (const auto *a = std::get_if<HybridClock>(&rep_)) {
-            if (const auto *b =
-                    std::get_if<HybridClock>(&other.rep_)) {
-                if (a->sharesTreeWith(*b))
-                    return true;
-            }
-        }
-        return forEachWhile([&](ChainId c, const Tick &t) {
-            return t <= other.get(c);
-        });
+        return map_.leqAll(other.map_);
+    }
+
+    bool
+    operator==(const VectorClock &other) const
+    {
+        return map_.equals(other.map_);
+    }
+
+    /** True when joins and comparisons with @p other take the
+     * lane-wise path (both clocks hold the same chain set). */
+    bool
+    sameLayoutAs(const VectorClock &other) const
+    {
+        return map_.sameLayout(other.map_);
     }
 
     /** Number of nonzero entries. */
-    std::uint32_t
-    size() const
-    {
-        return std::visit([](const auto &r) { return r.size(); },
-                          rep_);
-    }
+    std::uint32_t size() const { return map_.size(); }
 
     /** Drop all entries. */
-    void
-    clear()
-    {
-        std::visit([](auto &r) { r.clear(); }, rep_);
-    }
+    void clear() { map_.clear(); }
 
     /** Remove entries for which @p pred(chain, tick) holds (used when
      * retiring chains under the time window). */
@@ -272,7 +104,7 @@ class VectorClock
     void
     eraseIf(Pred &&pred)
     {
-        std::visit([&](auto &r) { r.eraseIf(pred); }, rep_);
+        map_.eraseIf(pred);
     }
 
     /** Iterate (chain, tick) entries (order unspecified). */
@@ -280,47 +112,19 @@ class VectorClock
     void
     forEach(Fn &&fn) const
     {
-        std::visit([&](const auto &r) { r.forEach(fn); }, rep_);
-    }
-
-    /** Iterate until @p fn returns false; true if the walk finished. */
-    template <typename Fn>
-    bool
-    forEachWhile(Fn &&fn) const
-    {
-        return std::visit(
-            [&](const auto &r) { return r.forEachWhile(fn); }, rep_);
-    }
-
-    /** Fold into the COW intern table (no-op on other backends —
-     * hybrid snapshots already share structurally) — call on clocks
-     * likely to repeat content, e.g. checkpoint loads. */
-    void
-    intern()
-    {
-        if (auto *c = std::get_if<CowClock>(&rep_))
-            c->intern();
+        map_.forEach(fn);
     }
 
     /** Heap bytes, for metadata accounting. */
-    std::uint64_t
-    byteSize() const
-    {
-        return std::visit(
-            [](const auto &r) { return r.byteSize(); }, rep_);
-    }
+    std::uint64_t byteSize() const { return map_.byteSize(); }
 
     /** Debug rendering, e.g. "{0:3, 2:7}" (canonically sorted). */
     std::string toString() const;
 
-    bool operator==(const VectorClock &other) const;
-
   private:
-    // Alternative order must match Backend's enumerator values:
-    // backend() is the variant index.
-    std::variant<SparseClock, CowClock, TreeClock, HybridClock> rep_;
+    SoaTable map_;
 };
 
 } // namespace asyncclock::clock
 
-#endif // ASYNCCLOCK_CLOCK_VECTOR_CLOCK_HH
+#endif // ASYNCCLOCK_VECTOR_CLOCK_HH

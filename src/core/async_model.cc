@@ -78,7 +78,7 @@ AsyncTaskModel::tickChain(ChainId c)
 {
     Chain &ch = chains_[c];
     clock::Tick t = ++ch.tick;
-    ch.vc.tick(c, t);
+    ch.vc.raise(c, t);
     ++counters_.clockTicks;
     return {c, t};
 }
@@ -363,7 +363,7 @@ AsyncTaskModel::onTaskStart(const Operation &op)
         c = newChain();
     taskChain_[e] = c;
     Chain &ch = chains_[c];
-    vc.tick(c, ++ch.tick);
+    vc.raise(c, ++ch.tick);
     ++counters_.clockTicks;
     ch.vc = std::move(vc);
     startVtime_[e] = op.vtime;
@@ -435,7 +435,7 @@ AsyncTaskModel::ageOneSettled()
         window_.marker = newChain();
     window_.vc.joinWith(settleVC_[e]);
     ++counters_.clockJoins;
-    window_.vc.tick(window_.marker, ++window_.version);
+    window_.vc.raise(window_.marker, ++window_.version);
     settleVC_[e].clear();
     aged_[e] = 1;
     ++windowFolds_;

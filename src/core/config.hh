@@ -8,8 +8,6 @@
 
 #include <cstdint>
 
-#include "clock/policy.hh"
-
 namespace asyncclock::core {
 
 /** Chain decomposition strategy (sections 3.4 and 4.2). */
@@ -82,18 +80,6 @@ struct DetectorConfig
      * (<2%) intact.
      */
     bool phaseTiming = false;
-
-    /**
-     * Vector-clock representation (see clock/policy.hh): sparse (the
-     * default), copy-on-write interned, tree clock, or the cow-tree
-     * hybrid. Captured from
-     * the process-wide default at config construction; constructing a
-     * detector applies it process-wide (checkers and graphs build
-     * clocks of the same representation), since clocks of one run are
-     * joined across subsystems. All backends produce byte-identical
-     * reports.
-     */
-    clock::Backend clockBackend = clock::defaultBackend();
 
     /** Async-before walk early stopping (section 5.3 cases 1 and 2).
      * On in the paper's tool; off only for ablation studies — without

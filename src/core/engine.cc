@@ -25,7 +25,6 @@ DetectorEngine::DetectorEngine(ModelKind model, trace::TraceSource &src,
                                DetectorConfig cfg)
     : source_(&src), checker_(checker), cfg_(cfg)
 {
-    clock::setDefaultBackend(cfg_.clockBackend);
     gcIntervalEff_ = (cfg_.memBudgetBytes > 0 && cfg_.gcIntervalOps > 512)
                          ? 512
                          : cfg_.gcIntervalOps;
@@ -40,7 +39,6 @@ DetectorEngine::DetectorEngine(ModelKind model, const trace::Trace &tr,
     : owned_(std::make_unique<trace::MaterializedSource>(tr)),
       source_(owned_.get()), checker_(checker), cfg_(cfg)
 {
-    clock::setDefaultBackend(cfg_.clockBackend);
     gcIntervalEff_ = (cfg_.memBudgetBytes > 0 && cfg_.gcIntervalOps > 512)
                          ? 512
                          : cfg_.gcIntervalOps;
@@ -262,12 +260,9 @@ DetectorEngine::attachObs(const obs::ObsContext &ctx)
         return static_cast<std::int64_t>(model_->numChains());
     });
     // Run identity as a labeled constant-1 gauge (the Prometheus
-    // "info" idiom): lets dashboards join per-run series on model
-    // and clock backend without parsing names.
-    reg.gauge("run.info",
-              {{"model", modelName(model_->kind())},
-               {"backend", clock::backendName(cfg_.clockBackend)}})
-        .set(1);
+    // "info" idiom): lets dashboards join per-run series on the model
+    // without parsing names.
+    reg.gauge("run.info", {{"model", modelName(model_->kind())}}).set(1);
     if (cfg_.phaseTiming) {
         // Per-op ns: sub-µs decode/check up to ms-scale GC sweeps.
         const std::vector<std::uint64_t> bounds = {
@@ -279,8 +274,7 @@ DetectorEngine::attachObs(const obs::ObsContext &ctx)
             phaseHist_[i] = &reg.histogram(
                 "detector.phase_ns",
                 {{"phase", phaseName(static_cast<Phase>(i))},
-                 {"model", modelName(model_->kind())},
-                 {"backend", clock::backendName(cfg_.clockBackend)}},
+                 {"model", modelName(model_->kind())}},
                 bounds);
         }
     }

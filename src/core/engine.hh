@@ -191,7 +191,7 @@ class DetectorEngine : public report::Detector
     std::uint64_t opPhaseNs_[kNumPhases] = {};
     /** Cumulative ns per phase across the run. */
     std::uint64_t totalPhaseNs_[kNumPhases] = {};
-    /** detector.phase_ns{phase,model,backend} histograms, or null
+    /** detector.phase_ns{phase,model} histograms, or null
      * when metrics are not attached. */
     obs::Histogram *phaseHist_[kNumPhases] = {};
 };

@@ -171,7 +171,7 @@ LooperModel::tickChain(ChainId c)
 {
     ChainState &ch = chains_[c];
     clock::Tick t = ++ch.tick;
-    ch.vc.tick(c, t);
+    ch.vc.raise(c, t);
     ++counters_.clockTicks;
     return {c, t};
 }
@@ -683,9 +683,6 @@ LooperModel::priorityResolve(EventMeta *m, Resolution &r)
                 covered = false;
             }
         }
-        unsigned entryCls2 = trace::priorityClass(entryEv->attrs);
-        (void)entryCls2;
-
         // Records strictly below the entry's send.
         auto it = std::lower_bound(
             list->recs.begin(), list->recs.end(), start.sendTick,
@@ -1055,9 +1052,7 @@ LooperModel::onEventBegin(const Operation &op, OpId id)
     ChainState &ch = chains_[c];
     clock::Tick beginTick = ++ch.tick;
     m->beginEpoch = {c, beginTick};
-    // r.vc becomes chain c's clock on the next line, so this is an
-    // owner tick (joins into r.vc are all behind us).
-    r.vc.tick(c, beginTick);
+    r.vc.raise(c, beginTick);
     m->begun = true;
 
     ch.vc = std::move(r.vc);
@@ -1251,7 +1246,7 @@ LooperModel::ageOneEnded()
     ++counters_.clockJoins;
     joinACSet(tc.acs, x->endACs);
     joinAtomicSet(tc.atomic, x->endAtomic);
-    tc.vc.tick(tc.marker, ++tc.version);
+    tc.vc.raise(tc.marker, ++tc.version);
     ChainId c = x->beginEpoch.chain;
     ChainState &ch = chains_[c];
     if (!ch.retired && ch.lastEnded && ch.lastEvent.get() == x &&

@@ -317,23 +317,6 @@ Daemon::handleCreate(const HttpRequest &req)
         return HttpResponse::text(
             400, "missing or invalid session id "
                  "([A-Za-z0-9._-]+, max 64, no leading dot)\n");
-    std::string clockName = req.queryParam("clock");
-    if (!clockName.empty()) {
-        clock::Backend backend;
-        if (!clock::parseBackend(clockName.c_str(), backend))
-            return HttpResponse::text(
-                400, "unknown clock backend '" + clockName +
-                         "' (want " + clock::backendNames() + ")\n");
-        // The clock backend is process-wide (the engine constructor
-        // pins it); admitting a mismatched session would poison every
-        // neighbor's clocks.
-        if (backend != cfg_.detector.clockBackend)
-            return HttpResponse::text(
-                409, strf("daemon runs clock backend '%s'; recreate "
-                          "the daemon to change it\n",
-                          clock::backendName(
-                              cfg_.detector.clockBackend)));
-    }
 
     std::lock_guard<std::mutex> lock(smu_);
     if (sessions_.count(id)) {

@@ -7,7 +7,7 @@
  * independent streaming analysis (see daemon/session.hh), behind an
  * HTTP API served by the obs layer's HttpListener:
  *
- *   POST   /v1/sessions?id=ID[&clock=B]   create (201; 409 dup/clock,
+ *   POST   /v1/sessions?id=ID             create (201; 409 duplicate,
  *                                         429 capacity, 400 bad id)
  *   POST   /v1/sessions/ID/trace[?offset=N]  ingest one chunk
  *                                         (200; 429 + Retry-After on
@@ -44,11 +44,6 @@
  * lands in Session::quarantineLocked, which isolates exactly one
  * session and answers its clients with 410 + the reason while every
  * other session proceeds untouched.
- *
- * Clock backend is process-wide (DetectorEngine's constructor calls
- * clock::setDefaultBackend), so the daemon pins one backend at
- * startup; a create naming a different one is refused with 409
- * rather than silently poisoning neighbors' clocks.
  *
  * Drain (SIGTERM/SIGINT): stop admitting (503), close every ingest
  * queue (waking blocked producers immediately), stop the workers,

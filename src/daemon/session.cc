@@ -620,7 +620,6 @@ Session::evictLocked()
     meta.accessesChecked = filter_->accessesSeen();
     meta.traceBytes = spooled_;
     meta.traceHash = 0;  // spool identity is daemon-owned
-    meta.clockBackend = cfg_.detector.clockBackend;
     meta.modelTag = engine_->modelKind() == core::ModelKind::Async
                         ? report::kModelTagAsync
                         : report::kModelTagLooper;

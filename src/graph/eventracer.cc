@@ -81,9 +81,7 @@ Epoch
 EventRacerDetector::tick(TaskState &ts)
 {
     clock::Tick t = ++chainTicks_[ts.chain];
-    // Owner tick: every newNode() snapshot of ts.vc happens right
-    // after this, and joins into ts.vc happen before it.
-    ts.vc.tick(ts.chain, t);
+    ts.vc.raise(ts.chain, t);
     return {ts.chain, t};
 }
 

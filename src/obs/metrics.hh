@@ -24,8 +24,8 @@
  * ("asyncclock-metrics-v1", names sorted) so end-of-run reports are
  * diffable and machine-readable.
  *
- * Metrics may carry *labels* (name{model="async",backend="tree"}) so
- * per-model / per-backend / per-shard series coexist in one registry.
+ * Metrics may carry *labels* (name{model="async",phase="decode"}) so
+ * per-model / per-phase / per-shard series coexist in one registry.
  * A labeled series is addressed by its canonical series name — base
  * name plus a '{k="v",...}' block with keys sorted — built by
  * seriesName(). Registries that never use labels keep emitting the

@@ -90,7 +90,7 @@ struct PredictSummary
     /** Non-empty when the pass was skipped or degraded. */
     std::vector<std::string> notes;
     /** Wall time (kept out of the verdict text so reports stay
-     * byte-identical across runs and clock backends). */
+     * byte-identical across runs). */
     double wallSec = 0;
 
     /** "predict: N candidate(s) ..." one-liner (deterministic). */

@@ -177,7 +177,7 @@ ShbEngine::step(const Operation &op, OpId id,
     }
 
     // ----- PO: this op is a fresh tick of the task's own chain ------
-    st.clock.tick(st.chain, ++st.tick);
+    st.clock.raise(st.chain, ++st.tick);
 
     // ----- accesses reach the sink with the weak logical time -------
     if (op.kind == OpKind::Read || op.kind == OpKind::Write) {

@@ -24,12 +24,11 @@
  * (predict/candidates.hh) and replay then filters for soundness
  * (predict/predict.hh).
  *
- * The engine reuses the pluggable clock::Backend substrate — each
- * task carries one clock::VectorClock, so sparse/cow/tree all work —
- * and the report::AccessChecker sink interface, so the same
- * ExactChecker the oracle tests use can consume the weak ordering
- * (cross-validating the engine against gold::Closure with the
- * weakened GoldConfig).
+ * The engine reuses the clock substrate — each task carries one
+ * clock::VectorClock — and the report::AccessChecker sink interface,
+ * so the same ExactChecker the oracle tests use can consume the weak
+ * ordering (cross-validating the engine against gold::Closure with
+ * the weakened GoldConfig).
  *
  * By design the engine is the linear-time mirror of the weakened
  * gold closure: for a well-formed trace, an ExactChecker driven by

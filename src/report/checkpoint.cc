@@ -80,7 +80,7 @@ saveCheckpoint(const std::string &path, const CheckpointMeta &meta,
                                      tmp);
         out.write(kCheckpointMagic, 4);
         out.put(static_cast<char>(kCheckpointVersion));
-        out.put(static_cast<char>(clock::defaultBackend()));
+        out.put(0);  // the retired clock-backend byte
         out.put(static_cast<char>(meta.modelTag));
         putU64(out, meta.opsProcessed);
         putU64(out, meta.accessesChecked);
@@ -125,21 +125,17 @@ loadCheckpoint(const std::string &path, FastTrackChecker &checker)
     }
     CheckpointMeta meta;
     if (version >= 2) {
-        // Clock-backend tag. Any known backend loads fine: entries
-        // are serialized in canonical sparse form and rebuilt under
-        // the loader's backend. Pre-v4 files predate the hybrid
-        // backend, so a hybrid tag there is corruption, not a newer
-        // writer.
-        int maxTag = version >= 4
-                         ? static_cast<int>(clock::kBackendCount)
-                         : 3;
+        // Retired clock-backend tag: older builds wrote 0-3 (sparse,
+        // cow, tree, hybrid; hybrid only from v4). Entries were always
+        // serialized in canonical sparse form, so every valid tag
+        // loads the same way; anything else is corruption.
+        int maxTag = version >= 4 ? 4 : 3;
         int tag = in.get();
         if (tag < 0 || tag >= maxTag) {
             return Status::error(
                 ErrCode::Corrupt,
                 strf("bad clock-backend tag %d in checkpoint", tag));
         }
-        meta.clockBackend = static_cast<clock::Backend>(tag);
     }
     if (version >= 3) {
         int tag = in.get();

@@ -49,20 +49,18 @@
 namespace asyncclock::report {
 
 /** Magic bytes opening a checkpoint file ("ACCP") + format version.
- * v1: original header. v2: adds a clock-backend tag byte (see
- * clock::Backend) after the version. The tag is informational —
- * checker state is serialized as canonically sorted (chain, tick)
- * entries, so loading converts to whatever backend the loading
- * process runs, and v1 files (implicitly sparse) load unchanged.
+ * v1: original header. v2: adds a clock-backend tag byte after the
+ * version, from when the clock had several representations. The tag
+ * was always informational — checker state is serialized as
+ * canonically sorted (chain, tick) entries — and is now retired:
+ * writers put 0 there and loaders only range-check it (0-2 before v4,
+ * 0-3 from v4), so files from older multi-backend builds still load.
  * v3: adds a causality-model tag byte after the backend byte. Unlike
  * the backend tag this one is semantic: resume replays the detector,
  * and a different model would replay a different access sequence, so
  * loaders (trace_analyzer) refuse a checkpoint whose model differs
  * from the run's. v1/v2 files (implicitly looper) load unchanged.
- * v4: the backend tag may also be Hybrid (3). The layout is
- * unchanged; the version bump exists so v3 readers reject hybrid
- * tags they cannot name instead of misreading them, while v4 readers
- * accept tags from every older version. */
+ * v4: the backend tag may also be 3. The layout is unchanged. */
 extern const char kCheckpointMagic[4];
 constexpr std::uint8_t kCheckpointVersion = 4;
 
@@ -83,10 +81,6 @@ struct CheckpointMeta
      * resume refuses a mismatch. */
     std::uint64_t traceBytes = 0;
     std::uint64_t traceHash = 0;
-    /** Clock backend of the writing process (v2+; v1 files report
-     * Sparse). Loading never requires a match — see
-     * kCheckpointVersion. */
-    clock::Backend clockBackend = clock::Backend::Sparse;
     /** Causality model of the writing run (v3+; older files report
      * looper). Resume requires a match — see kCheckpointVersion. */
     std::uint8_t modelTag = kModelTagLooper;

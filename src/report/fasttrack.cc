@@ -228,10 +228,6 @@ FastTrackChecker::loadState(std::istream &in)
                 return truncated();
             st.readVC.raise(c, t);
         }
-        // Resumed read clocks repeat a few contents across many
-        // variables; under the COW backend fold them into shared
-        // nodes (no-op elsewhere).
-        st.readVC.intern();
         if (!getAccess(in, st.lastWrite) || !getAccess(in, st.lastRead))
             return truncated();
     }

@@ -70,10 +70,10 @@ ShardedChecker::workerLoop(Shard &shard)
             return;
         if (faults_.poisonShard == shard.index) {
             // A real worker death would leave its queue open and the
-            // producer wedged on a full queue; closing here models the
-            // recovered behavior (pushes fail fast) while failRun()
-            // carries the diagnosis.
-            shard.queue.close();
+            // producer wedged on a full queue. failRun() records the
+            // diagnosis first and then closes every queue, so pushes
+            // fail fast and the producer never reports the close as
+            // the cause.
             failRun(strf("shard %u: worker died mid-run "
                          "(injected poison fault)",
                          shard.index));
@@ -183,13 +183,13 @@ ShardedChecker::failRun(const std::string &msg, const char *kind)
         if (failed_.load(std::memory_order_relaxed))
             return;
         failureMsg_ = msg;
+        failed_.store(true, std::memory_order_release);
     }
-    failed_.store(true, std::memory_order_release);
     warn(strf("sharded checker failed: %s", msg.c_str()));
     if (obs_.events)
         obs_.events->log(obs::EventLog::Severity::Error, kind, msg);
     // Close every queue: blocked producers wake with Closed, workers
-    // drain what's left and exit, drain()'s joins complete.
+    // exit at their next pop, drain()'s joins complete.
     for (auto &shard : shards_)
         shard->queue.close();
 }
@@ -235,9 +235,13 @@ ShardedChecker::drain()
         std::uint64_t waitedMs = 0;
         std::size_t lastRemaining = ~std::size_t(0);
         for (;;) {
+            // A failed run's workers exit without popping, so batches
+            // left in the closed queues are not work to wait for.
+            const bool failed = failed_.load(std::memory_order_acquire);
             std::size_t remaining = 0;
             for (const auto &shard : shards_) {
-                remaining += shard->queue.size();
+                if (!failed)
+                    remaining += shard->queue.size();
                 if (!shard->done.load(std::memory_order_acquire))
                     ++remaining;
             }

@@ -176,8 +176,6 @@ class ShardedChecker : public AccessChecker
 
     void workerLoop(Shard &shard);
     void flushShard(Shard &shard);
-    /** Record a structural failure and close every queue so both
-     * sides unwind; first caller wins. */
     /** Fail the run (first caller wins): record @p msg, close every
      * queue, and log a structured event of @p kind ("shard.failed",
      * or "shard.watchdog" from the watchdog paths). */

@@ -443,6 +443,35 @@ TEST(AsyncClock, WindowOnlyRemovesFarApartRaces)
     EXPECT_EQ(tr.op(withWindow.begin()->first).target, nearVar);
 }
 
+TEST(AsyncClock, WalkPastAgedSendEntryWithLiveSendList)
+{
+    // At send(E2) the worker's AsyncClock entry for q names E1, which
+    // the window ages out right after that send; the worker's send
+    // list to q stays live (it holds E2's record). Resolving E2 walks
+    // that list with the entry's event gone and must not touch its
+    // metadata; the window clock still orders E2 after E1.
+    Runtime rt;
+    auto q = rt.addLooper("main");
+    auto x = rt.var("x");
+    auto s = rt.site("s", trace::Frame::User);
+    rt.spawnWorker("w", Script()
+                            .post(q, Script().write(x, s))
+                            .sleep(60000)
+                            .post(q, Script().write(x, s)));
+    Trace tr = rt.run();
+    ASSERT_EQ(tr.validate(true), "");
+    ASSERT_TRUE(goldSet(tr).empty());
+
+    DetectorConfig win = exactConfig();
+    win.windowMs = 1000;
+    report::ExactChecker checker;
+    AsyncClockDetector det(tr, checker, win);
+    det.runAll();
+    EXPECT_TRUE(det.runStatus().isOk());
+    EXPECT_EQ(det.counters().invalidatedByWindow, 1u);
+    EXPECT_TRUE(checker.races().empty());
+}
+
 TEST(AsyncClock, FifoChainDecompositionLevels)
 {
     // Worker -> level-1 -> level-2 -> level-3 chains.

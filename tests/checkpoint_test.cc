@@ -19,6 +19,7 @@
 #include "core/detector.hh"
 #include "report/checkpoint.hh"
 #include "report/fasttrack.hh"
+#include "report/races.hh"
 #include "trace/trace_io.hh"
 #include "workload/workload.hh"
 
@@ -299,57 +300,74 @@ TEST(Resume, IdenticalUnderMemoryPressureLadder)
     std::remove(path.c_str());
 }
 
+/** @p races as trace_analyzer renders its text report. */
+std::string
+reportText(const Trace &tr, const std::vector<RaceReport> &races)
+{
+    report::RaceAnalyzer analyzer(tr);
+    return report::renderReportText(analyzer, analyzer.analyze(races));
+}
+
 TEST(Resume, CrossBackendCheckpointsInterchange)
 {
-    // v2 checkpoints carry the writer's clock backend as an
-    // informational tag; checker state is serialized in canonical
-    // sparse form, so a checkpoint written under any backend must
-    // resume under any other with an identical final race list.
+    // Builds with several clock backends wrote theirs into the v4
+    // header byte after the version (0 sparse, 1 cow, 2 tree, 3
+    // hybrid). The byte is retired: writers put 0 there, and loaders
+    // accept 1-3 so checkpoints from those builds resume to the same
+    // report. No build ever wrote 4, so 4 is corruption.
     auto app = workload::generateApp(profile(11, 150));
-    const clock::Backend backends[] = {clock::Backend::Sparse,
-                                       clock::Backend::Cow,
-                                       clock::Backend::Tree,
-                                       clock::Backend::Hybrid};
-    core::DetectorConfig base;
-    std::vector<RaceReport> expected =
-        uninterruptedRaces(app.trace, base);
+    core::DetectorConfig cfg;
+    std::vector<RaceReport> expected = uninterruptedRaces(app.trace, cfg);
     ASSERT_GT(expected.size(), 0u);
+    const std::string expectedText = reportText(app.trace, expected);
 
     std::string path = tempPath("ckpt_backend.accp");
-    std::uint64_t kill = app.trace.numOps() / 2;
-    for (clock::Backend wb : backends) {
-        {
-            core::DetectorConfig cfg;
-            cfg.clockBackend = wb;
-            FastTrackChecker ft;
-            ResumeFilter filter(ft);
-            core::AsyncClockDetector det(app.trace, filter, cfg);
-            std::uint64_t n = 0;
-            while (n < kill && det.processNext())
-                ++n;
-            report::CheckpointMeta meta;
-            meta.opsProcessed = n;
-            meta.accessesChecked = filter.accessesSeen();
-            ASSERT_TRUE(report::saveCheckpoint(path, meta, ft));
-        }
-        for (clock::Backend rb : backends) {
-            SCOPED_TRACE(std::string(clock::backendName(wb)) +
-                         " -> " + clock::backendName(rb));
-            core::DetectorConfig cfg;
-            cfg.clockBackend = rb;
-            FastTrackChecker ft;
-            auto loaded = report::loadCheckpoint(path, ft);
-            ASSERT_TRUE(loaded) << loaded.status().toString();
-            // The tag records the writer (the detector pins the
-            // process default to its configured backend).
-            EXPECT_EQ(loaded.value().clockBackend, wb);
-            ResumeFilter filter(ft,
-                                loaded.value().accessesChecked);
-            core::AsyncClockDetector det(app.trace, filter, cfg);
-            det.runAll();
-            expectSameRaces(expected, ft.races());
-        }
+    {
+        FastTrackChecker ft;
+        ResumeFilter filter(ft);
+        core::AsyncClockDetector det(app.trace, filter, cfg);
+        std::uint64_t n = 0;
+        while (n < app.trace.numOps() / 2 && det.processNext())
+            ++n;
+        report::CheckpointMeta meta;
+        meta.opsProcessed = n;
+        meta.accessesChecked = filter.accessesSeen();
+        ASSERT_TRUE(report::saveCheckpoint(path, meta, ft));
     }
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 6u);
+    ASSERT_EQ(bytes[4], char(report::kCheckpointVersion));
+    EXPECT_EQ(bytes[5], 0) << "writers put 0 in the retired byte";
+    auto writeTag = [&](char tag) {
+        bytes[5] = tag;
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    };
+
+    for (char tag : {1, 2, 3}) {
+        SCOPED_TRACE(int(tag));
+        writeTag(tag);
+        FastTrackChecker ft;
+        auto loaded = report::loadCheckpoint(path, ft);
+        ASSERT_TRUE(loaded) << loaded.status().toString();
+        ResumeFilter filter(ft, loaded.value().accessesChecked);
+        core::AsyncClockDetector det(app.trace, filter, cfg);
+        det.runAll();
+        expectSameRaces(expected, ft.races());
+        EXPECT_EQ(reportText(app.trace, ft.races()), expectedText);
+    }
+
+    writeTag(4);
+    FastTrackChecker ft;
+    auto bad = report::loadCheckpoint(path, ft);
+    ASSERT_FALSE(bad);
+    EXPECT_EQ(bad.status().code(), ErrCode::Corrupt);
     std::remove(path.c_str());
 }
 

@@ -1,25 +1,13 @@
 /**
  * @file
- * Backend equivalence: the four clock backends (sparse, COW, tree,
- * hybrid) must be observationally identical.
+ * VectorClock against the dense reference clock (bench/dense_clock.hh).
  *
- * Two layers of evidence:
- *
- *  - Differential property tests: the same random operation sequence
- *    is applied to one clock universe per backend and every
- *    observable (get, size, knows, leq, ==, toString) is compared
- *    after each step. One generator uses the unrestricted API
- *    (raise/join/eraseIf — the tree and hybrid backends must degrade,
- *    never diverge); another follows the detector's ownership
- *    discipline (tick, snapshot export, join of exports) so the
- *    pruning paths are actually exercised; a third mixes backends in
- *    one universe so cross-representation joins go through the
- *    canonical entry view. The sparse sweeps additionally run with
- *    the SIMD kernels forced off to pin the scalar fallback.
- *
- *  - End-to-end: full detector + FastTrack + analyzer runs over
- *    generated apps and chaos traces must produce byte-identical
- *    reports under all four backends.
+ * A random-op differential test drives a universe of sparse clocks and
+ * a universe of dense ones with the same operation stream and compares
+ * every observable (get, size, knows, leq, ==, toString) after each
+ * step. Assignments make pairs of clocks share a key set, so joins and
+ * comparisons take both the lane-wise same-layout path and the general
+ * per-entry path; eraseIf keeps the layout canonical under deletion.
  */
 
 #include <gtest/gtest.h>
@@ -27,401 +15,101 @@
 #include <string>
 #include <vector>
 
-#include "clock/hybrid_clock.hh"
-#include "clock/simd.hh"
-#include "clock/tree_clock.hh"
+#include "../bench/dense_clock.hh"
 #include "clock/vector_clock.hh"
-#include "core/detector.hh"
-#include "report/export.hh"
-#include "report/fasttrack.hh"
-#include "report/races.hh"
+#include "support/format.hh"
 #include "support/rng.hh"
-#include "workload/workload.hh"
 
 namespace asyncclock::clock {
 namespace {
 
-constexpr Backend kBackends[] = {Backend::Sparse, Backend::Cow,
-                                 Backend::Tree, Backend::Hybrid};
-
-void
-resetPruneGuards()
+/** @p d rendered the way VectorClock::toString() renders. */
+std::string
+denseString(const DenseClock &d, ChainId maxChain)
 {
-    TreeClock::resetPruneGuard();
-    HybridClock::resetPruneGuard();
-}
-
-/** Probe every observable of two same-content clocks. */
-void
-expectSameObservables(const VectorClock &a, const VectorClock &b,
-                      ChainId maxChain, const char *what)
-{
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (ChainId c = 0; c <= maxChain; ++c)
-        ASSERT_EQ(a.get(c), b.get(c)) << what << " chain " << c;
-    ASSERT_EQ(a.toString(), b.toString()) << what;
-}
-
-TEST(ParseBackend, NamesRoundTrip)
-{
-    Backend b = Backend::Sparse;
-    EXPECT_TRUE(parseBackend("sparse", b));
-    EXPECT_EQ(b, Backend::Sparse);
-    EXPECT_TRUE(parseBackend("cow", b));
-    EXPECT_EQ(b, Backend::Cow);
-    EXPECT_TRUE(parseBackend("tree", b));
-    EXPECT_EQ(b, Backend::Tree);
-    EXPECT_TRUE(parseBackend("hybrid", b));
-    EXPECT_EQ(b, Backend::Hybrid);
-    EXPECT_FALSE(parseBackend("vector", b));
-    EXPECT_FALSE(parseBackend("", b));
-    for (Backend x : kBackends) {
-        Backend y = Backend::Sparse;
-        EXPECT_TRUE(parseBackend(backendName(x), y));
-        EXPECT_EQ(x, y);
+    std::string out;
+    for (ChainId c = 0; c <= maxChain; ++c) {
+        if (Tick t = d.get(c)) {
+            if (!out.empty())
+                out += ", ";
+            out += strf("%u:%u", c, t);
+        }
     }
-    // The allowed-set string (used by usage text and parse errors)
-    // names every backend, pipe-separated.
-    std::string names = backendNames();
-    for (Backend x : kBackends)
-        EXPECT_NE(names.find(backendName(x)), std::string::npos)
-            << backendName(x);
-    EXPECT_EQ(names, "sparse|cow|tree|hybrid");
+    return "{" + out + "}";
 }
 
-TEST(BackendEquiv, ExplicitConstructionSelectsBackend)
-{
-    for (Backend b : kBackends) {
-        VectorClock vc(b);
-        EXPECT_EQ(vc.backend(), b);
-        vc.raise(3, 7);
-        EXPECT_EQ(vc.get(3), 7u);
-        // Copies keep the source's backend, not the process default.
-        VectorClock copy = vc;
-        EXPECT_EQ(copy.backend(), b);
-        EXPECT_EQ(copy.get(3), 7u);
-    }
-}
-
-/**
- * Unrestricted API sweep: raise/join/copy/knows/eraseIf in random
- * order. The tree backend sees out-of-band raises and erases here;
- * it must still agree with sparse on every observable.
- */
-TEST(BackendEquiv, RandomOpsArbitraryDiscipline)
+TEST(VectorClockEquiv, MatchesDenseReferenceUnderRandomOps)
 {
     constexpr unsigned kClocks = 8;
-    constexpr ChainId kMaxChain = 12;
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        resetPruneGuards();
-        // One universe of kClocks clocks per backend, driven by
-        // identical op streams (fresh RNG per backend).
-        std::vector<std::vector<VectorClock>> u;
-        for (Backend b : kBackends)
-            u.emplace_back(kClocks, VectorClock(b));
-        for (std::size_t bi = 0; bi < u.size(); ++bi) {
-            Rng rng(seed * 1000003);
-            auto &clocks = u[bi];
-            for (unsigned step = 0; step < 300; ++step) {
-                unsigned op = static_cast<unsigned>(rng.below(100));
-                unsigned i =
-                    static_cast<unsigned>(rng.below(kClocks));
-                unsigned j =
-                    static_cast<unsigned>(rng.below(kClocks));
-                ChainId c = static_cast<ChainId>(
-                    rng.below(kMaxChain + 1));
-                Tick t = static_cast<Tick>(rng.range(1, 40));
-                if (op < 45) {
-                    clocks[i].raise(c, t);
-                } else if (op < 80) {
-                    clocks[i].joinWith(clocks[j]);
-                } else if (op < 90) {
-                    clocks[i] = clocks[j];
-                } else if (op < 95) {
-                    clocks[i].intern();
-                } else {
-                    clocks[i].eraseIf(
-                        [t](ChainId, Tick v) { return v < t; });
-                }
+    std::uint64_t sameLayoutJoins = 0;
+    std::uint64_t generalJoins = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        // Alternate a narrow chain range (clocks converge on one key
+        // set) with a wide one (clocks grow through several
+        // capacities).
+        const ChainId maxChain = seed % 2 ? 23 : 150;
+        Rng rng(seed * 1000003);
+        std::vector<VectorClock> vcs(kClocks);
+        std::vector<DenseClock> ref(kClocks);
+        for (unsigned step = 0; step < 300; ++step) {
+            const auto op = rng.below(100);
+            const auto i = static_cast<unsigned>(rng.below(kClocks));
+            const auto j = static_cast<unsigned>(rng.below(kClocks));
+            const auto c = static_cast<ChainId>(rng.below(maxChain + 1));
+            const auto t = static_cast<Tick>(rng.range(1, 40));
+            if (op < 40) {
+                vcs[i].raise(c, t);
+                ref[i].raise(c, t);
+            } else if (op < 80) {
+                if (vcs[i].sameLayoutAs(vcs[j]))
+                    ++sameLayoutJoins;
+                else
+                    ++generalJoins;
+                vcs[i].joinWith(vcs[j]);
+                ref[i].joinWith(ref[j]);
+            } else if (op < 92) {
+                vcs[i] = vcs[j];
+                ref[i] = ref[j];
+            } else {
+                auto below = [t](ChainId, Tick v) { return v < t; };
+                vcs[i].eraseIf(below);
+                ref[i].eraseIf(below);
             }
-        }
-        for (unsigned i = 0; i < kClocks; ++i) {
-            for (std::size_t bi = 1; bi < u.size(); ++bi) {
-                expectSameObservables(u[0][i], u[bi][i], kMaxChain,
-                                      backendName(kBackends[bi]));
+
+            SCOPED_TRACE(strf("seed %llu step %u op %llu",
+                              (unsigned long long)seed, step,
+                              (unsigned long long)op));
+            ASSERT_EQ(vcs[i].size(), ref[i].size());
+            for (ChainId k = 0; k <= maxChain + 1; ++k) {
+                ASSERT_EQ(vcs[i].get(k), ref[i].get(k)) << "chain " << k;
+                ASSERT_EQ(vcs[i].knows(Epoch{k, t}),
+                          ref[i].knows(Epoch{k, t}))
+                    << "chain " << k;
             }
-            for (unsigned j = 0; j < kClocks; ++j) {
-                bool leq = u[0][i].leq(u[0][j]);
-                bool eq = u[0][i] == u[0][j];
-                for (std::size_t bi = 1; bi < u.size(); ++bi) {
-                    EXPECT_EQ(u[bi][i].leq(u[bi][j]), leq);
-                    EXPECT_EQ(u[bi][i] == u[bi][j], eq);
-                }
+            ASSERT_EQ(vcs[i].toString(), denseString(ref[i], maxChain));
+            for (unsigned k = 0; k < kClocks; ++k) {
+                const bool leq = ref[i].leq(ref[k]);
+                const bool geq = ref[k].leq(ref[i]);
+                ASSERT_EQ(vcs[i].leq(vcs[k]), leq) << "clock " << k;
+                ASSERT_EQ(vcs[k].leq(vcs[i]), geq) << "clock " << k;
+                ASSERT_EQ(vcs[i] == vcs[k], leq && geq) << "clock " << k;
             }
         }
     }
-    resetPruneGuards();
-}
-
-/**
- * Detector-discipline sweep: every chain has a unique owner clock;
- * entries enter other clocks only through joins of snapshots
- * exported right after a tick. This is the regime where tree pruning
- * fires; the observables must still match sparse exactly.
- */
-TEST(BackendEquiv, RandomOpsTickDiscipline)
-{
-    constexpr unsigned kChains = 10;
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        resetPruneGuards();
-        std::vector<std::vector<VectorClock>> owners;
-        std::vector<std::vector<VectorClock>> exports;
-        for (Backend b : kBackends) {
-            owners.emplace_back(kChains, VectorClock(b));
-            exports.emplace_back(kChains, VectorClock(b));
-        }
-        std::vector<Tick> ticks(kChains, 0);
-        for (std::size_t bi = 0; bi < owners.size(); ++bi) {
-            Rng rng(seed * 777);
-            std::vector<Tick> localTicks(kChains, 0);
-            auto &own = owners[bi];
-            auto &exp = exports[bi];
-            for (unsigned step = 0; step < 400; ++step) {
-                unsigned c =
-                    static_cast<unsigned>(rng.below(kChains));
-                unsigned d =
-                    static_cast<unsigned>(rng.below(kChains));
-                if (rng.chance(0.45)) {
-                    // Owner receives a peer's snapshot, then ticks
-                    // and exports — the detector's handler shape.
-                    own[c].joinWith(exp[d]);
-                    own[c].tick(c, ++localTicks[c]);
-                    exp[c] = own[c];
-                } else if (rng.chance(0.5)) {
-                    own[c].joinWith(exp[d]);
-                } else {
-                    own[c].tick(c, ++localTicks[c]);
-                    exp[c] = own[c];
-                }
-            }
-            if (bi == 0)
-                ticks = localTicks;
-        }
-        for (unsigned c = 0; c < kChains; ++c) {
-            for (std::size_t bi = 1; bi < owners.size(); ++bi) {
-                expectSameObservables(owners[0][c], owners[bi][c],
-                                      kChains,
-                                      backendName(kBackends[bi]));
-            }
-            for (unsigned d = 0; d < kChains; ++d) {
-                Epoch e{d, ticks[d]};
-                bool knows = owners[0][c].knows(e);
-                for (std::size_t bi = 1; bi < owners.size(); ++bi)
-                    EXPECT_EQ(owners[bi][c].knows(e), knows);
-            }
-        }
-    }
-}
-
-/**
- * Mixed-backend universe: clock i uses backend i mod 4, so joins,
- * leq, == and assignments constantly cross representations through
- * the canonical entry view. A same-shaped all-sparse universe is the
- * oracle.
- */
-TEST(BackendEquiv, RandomOpsMixedBackendUniverse)
-{
-    constexpr unsigned kClocks = 8;
-    constexpr ChainId kMaxChain = 12;
-    constexpr unsigned kNumBackends =
-        sizeof(kBackends) / sizeof(kBackends[0]);
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        resetPruneGuards();
-        std::vector<VectorClock> mixed;
-        std::vector<VectorClock> oracle(kClocks,
-                                        VectorClock(Backend::Sparse));
-        for (unsigned i = 0; i < kClocks; ++i)
-            mixed.emplace_back(kBackends[i % kNumBackends]);
-        auto run = [&](std::vector<VectorClock> &clocks) {
-            Rng rng(seed * 90001);
-            for (unsigned step = 0; step < 300; ++step) {
-                unsigned op = static_cast<unsigned>(rng.below(100));
-                unsigned i =
-                    static_cast<unsigned>(rng.below(kClocks));
-                unsigned j =
-                    static_cast<unsigned>(rng.below(kClocks));
-                ChainId c = static_cast<ChainId>(
-                    rng.below(kMaxChain + 1));
-                Tick t = static_cast<Tick>(rng.range(1, 40));
-                if (op < 40) {
-                    clocks[i].raise(c, t);
-                } else if (op < 55) {
-                    clocks[i].tick(c, clocks[i].get(c) + 1);
-                } else if (op < 90) {
-                    clocks[i].joinWith(clocks[j]);
-                } else if (op < 95) {
-                    clocks[i].intern();
-                } else {
-                    clocks[i].eraseIf(
-                        [t](ChainId, Tick v) { return v < t; });
-                }
-            }
-        };
-        run(mixed);
-        run(oracle);
-        for (unsigned i = 0; i < kClocks; ++i) {
-            // Mixed clocks keep their construction backend through
-            // mutation (assignment was excluded from the op mix).
-            EXPECT_EQ(mixed[i].backend(),
-                      kBackends[i % kNumBackends]);
-            expectSameObservables(oracle[i], mixed[i], kMaxChain,
-                                  "mixed universe");
-            for (unsigned j = 0; j < kClocks; ++j) {
-                EXPECT_EQ(mixed[i].leq(mixed[j]),
-                          oracle[i].leq(oracle[j]));
-                EXPECT_EQ(mixed[i] == mixed[j],
-                          oracle[i] == oracle[j]);
-            }
-        }
-    }
-    resetPruneGuards();
-}
-
-TEST(BackendEquiv, CowCopiesAreIndependent)
-{
-    VectorClock a{Backend::Cow};
-    a.raise(1, 5);
-    a.raise(2, 9);
-    VectorClock b = a;  // shares the node
-    b.raise(1, 6);      // must break the share, not mutate a
-    EXPECT_EQ(a.get(1), 5u);
-    EXPECT_EQ(b.get(1), 6u);
-    EXPECT_EQ(b.get(2), 9u);
-    // Interning equal-content clocks keeps them equal and
-    // mutation-safe.
-    VectorClock c{Backend::Cow}, d{Backend::Cow};
-    c.raise(7, 3);
-    d.raise(7, 3);
-    c.intern();
-    d.intern();
-    EXPECT_TRUE(c == d);
-    d.raise(8, 1);
-    EXPECT_EQ(c.get(8), 0u);
-    EXPECT_EQ(d.get(8), 1u);
-}
-
-TEST(BackendEquiv, HybridSnapshotsAreIndependent)
-{
-    resetPruneGuards();
-    VectorClock a{Backend::Hybrid};
-    a.tick(1, 5);
-    a.raise(2, 9);
-    VectorClock b = a;  // shares the rep: a pointer-bump snapshot
-    b.raise(1, 6);      // must path-copy, not mutate a
-    EXPECT_EQ(a.get(1), 5u);
-    EXPECT_EQ(b.get(1), 6u);
-    EXPECT_EQ(b.get(2), 9u);
-    a.tick(1, 7);  // owner keeps ticking; snapshot must not see it
-    EXPECT_EQ(b.get(1), 6u);
-    EXPECT_EQ(a.get(1), 7u);
-    // Joining a snapshot back into a third clock sees the snapshot's
-    // frozen state.
-    VectorClock c{Backend::Hybrid};
-    c.joinWith(b);
-    EXPECT_EQ(c.get(1), 6u);
-    EXPECT_EQ(c.get(2), 9u);
-}
-
-TEST(BackendEquiv, HybridDeepSnapshotChainsStayConsistent)
-{
-    // Layered snapshots of an evolving owner: each mutation must
-    // path-copy exactly the shared spine, leaving every earlier
-    // snapshot frozen.
-    resetPruneGuards();
-    VectorClock owner{Backend::Hybrid};
-    std::vector<VectorClock> snaps;
-    std::vector<std::vector<Tick>> expect;
-    for (Tick t = 1; t <= 24; ++t) {
-        owner.tick(t % 6, owner.get(t % 6) + 1);
-        owner.raise(6 + t % 3, t);
-        snaps.push_back(owner);
-        std::vector<Tick> e;
-        for (ChainId c = 0; c < 9; ++c)
-            e.push_back(owner.get(c));
-        expect.push_back(e);
-    }
-    for (std::size_t i = 0; i < snaps.size(); ++i) {
-        for (ChainId c = 0; c < 9; ++c)
-            ASSERT_EQ(snaps[i].get(c), expect[i][c])
-                << "snapshot " << i << " chain " << c;
-    }
-}
-
-// ----------------------------------------------------------------
-// SIMD sparse fast path: scalar fallback must be bit-equivalent.
-// ----------------------------------------------------------------
-
-TEST(SimdSparse, ScalarFallbackMatchesVectorKernels)
-{
-    // Build clocks large enough (>= 64 entries) that the lane
-    // kernels run many full blocks, with equal key sets so the
-    // same-layout path actually fires.
-    const bool wasEnabled = simdEnabled();
-    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        Rng rng(seed * 31337);
-        std::vector<std::pair<ChainId, Tick>> entriesA;
-        std::vector<std::pair<ChainId, Tick>> entriesB;
-        for (ChainId c = 0; c < 96; ++c) {
-            Tick ta = static_cast<Tick>(rng.range(1, 1000));
-            Tick tb = static_cast<Tick>(rng.range(1, 1000));
-            entriesA.emplace_back(c, ta);
-            // Same key set, independently drawn ticks: exercises
-            // both join directions and non-trivial leq outcomes.
-            entriesB.emplace_back(c, tb);
-        }
-        for (bool simd : {true, false}) {
-            setSimdEnabled(simd);
-            VectorClock a{Backend::Sparse}, b{Backend::Sparse};
-            for (auto &[c, t] : entriesA)
-                a.raise(c, t);
-            for (auto &[c, t] : entriesB)
-                b.raise(c, t);
-            VectorClock joined = a;
-            joined.joinWith(b);
-            for (ChainId c = 0; c < 96; ++c)
-                ASSERT_EQ(joined.get(c),
-                          std::max(entriesA[c].second,
-                                   entriesB[c].second))
-                    << "simd=" << simd;
-            EXPECT_TRUE(a.leq(joined)) << "simd=" << simd;
-            EXPECT_TRUE(b.leq(joined)) << "simd=" << simd;
-            EXPECT_EQ(a.leq(b),
-                      [&] {
-                          for (ChainId c = 0; c < 96; ++c) {
-                              if (entriesA[c].second >
-                                  entriesB[c].second)
-                                  return false;
-                          }
-                          return true;
-                      }())
-                << "simd=" << simd;
-            VectorClock j2 = b;
-            j2.joinWith(a);
-            EXPECT_TRUE(joined == j2) << "simd=" << simd;
-        }
-    }
-    setSimdEnabled(wasEnabled);
+    EXPECT_GT(sameLayoutJoins, 1000u);
+    EXPECT_GT(generalJoins, 1000u);
 }
 
 TEST(SimdSparse, CanonicalLayoutMakesJoinPairsSameLayout)
 {
     // Two clocks that absorbed the same key set in *different*
     // orders must converge to byte-identical key lanes — the Robin
-    // Hood canonical-layout property the SIMD fast path relies on.
+    // Hood canonical-layout property the lane-wise fast path relies
+    // on.
     std::vector<ChainId> chains;
     for (ChainId c = 0; c < 128; ++c)
         chains.push_back(c * 7 + 1);
-    SparseClock a, b;
+    VectorClock a, b;
     for (ChainId c : chains)
         a.raise(c, c + 1);
     for (std::size_t i = chains.size(); i-- > 0;)
@@ -437,62 +125,6 @@ TEST(SimdSparse, CanonicalLayoutMakesJoinPairsSameLayout)
             b.raise(c, 5);
         }
     EXPECT_TRUE(a.sameLayoutAs(b));
-}
-
-// ----------------------------------------------------------------
-// End-to-end: byte-identical reports under every backend.
-// ----------------------------------------------------------------
-
-/** Full pipeline (detector -> FastTrack -> analyzer) as one string:
- * the race list, the grouped report text, and the JSON export. */
-std::string
-fullReport(const trace::Trace &tr, Backend b)
-{
-    core::DetectorConfig cfg;
-    cfg.windowMs = 0;
-    cfg.clockBackend = b;
-    report::FastTrackChecker checker;
-    core::AsyncClockDetector det(tr, checker, cfg);
-    det.runAll();
-
-    std::string out;
-    for (const auto &r : checker.races()) {
-        out += std::to_string(r.prevOp) + "-" +
-               std::to_string(r.curOp) + ";";
-    }
-    out += "\n";
-    report::RaceAnalyzer analyzer(tr);
-    report::ReportSummary summary = analyzer.analyze(checker.races());
-    out += summary.summary();
-    for (const auto &g : summary.reported)
-        out += analyzer.describe(g) + "\n";
-    out += report::toJson(summary, tr);
-    return out;
-}
-
-TEST(BackendEquiv, EndToEndReportsByteIdentical)
-{
-    resetPruneGuards();
-    std::vector<trace::Trace> traces;
-    workload::AppProfile p;
-    p.seed = 42;
-    p.looperEvents = 120;
-    p.binderEvents = 15;
-    traces.push_back(workload::generateApp(p).trace);
-    traces.push_back(workload::chaosTrace(54, 70));
-    traces.push_back(workload::chaosTrace(57, 55));
-    for (const auto &tr : traces) {
-        ASSERT_EQ(tr.validate(true), "");
-        const std::string sparse = fullReport(tr, Backend::Sparse);
-        EXPECT_EQ(fullReport(tr, Backend::Cow), sparse);
-        EXPECT_EQ(fullReport(tr, Backend::Tree), sparse);
-        EXPECT_EQ(fullReport(tr, Backend::Hybrid), sparse);
-        // The scalar fallback must not change a byte either.
-        const bool wasEnabled = simdEnabled();
-        setSimdEnabled(false);
-        EXPECT_EQ(fullReport(tr, Backend::Sparse), sparse);
-        setSimdEnabled(wasEnabled);
-    }
 }
 
 } // namespace

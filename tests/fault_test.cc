@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <sstream>
 #include <string>
@@ -488,6 +489,39 @@ TEST(ShardFaults, StalledWorkerTripsWatchdogInsteadOfHanging)
     checker.drain();
     EXPECT_TRUE(checker.failed());
     EXPECT_NE(checker.failureMessage().find("watchdog"),
+              std::string::npos)
+        << checker.failureMessage();
+}
+
+TEST(ShardFaults, FailedRunDrainsWellUnderWatchdog)
+{
+    // Shard 0's worker stalls on its first batch and its one-slot
+    // queue fills, so the producer's watchdog fails the run with a
+    // batch still queued. The failed run's workers exit without
+    // popping it; drain() must return once they are done instead of
+    // waiting out the watchdog for a queue nobody will empty.
+    auto app = workload::generateApp(profile(4, 120));
+    report::ShardedConfig scfg;
+    scfg.shards = 2;
+    scfg.batchOps = 1;
+    scfg.queueCapacity = 1;
+    scfg.pushTimeoutMs = 10;
+    scfg.watchdogMs = 1000;
+    scfg.faults.stallShard = 0;
+    scfg.faults.stallMs = 60000;
+    report::ShardedChecker checker(scfg);
+    core::AsyncClockDetector det(app.trace, checker);
+    det.runAll();
+    ASSERT_TRUE(checker.failed());
+    const auto start = std::chrono::steady_clock::now();
+    checker.drain();
+    const auto drainMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_LT(drainMs, 500) << "drain waited for batches a failed "
+                                "run never pops";
+    EXPECT_NE(checker.failureMessage().find("accepted no batch"),
               std::string::npos)
         << checker.failureMessage();
 }

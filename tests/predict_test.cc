@@ -1,13 +1,11 @@
 /**
  * @file
  * The predictive race tier (src/predict/, DESIGN.md section 16):
- * the weakened gold closure, the ShbEngine's linear mirror of it
- * (cross-validated under all three clock backends), the seeded
- * HB-hidden-race patterns (prediction finds them, replay confirms
- * them, combined recall strictly beats observed recall), the
+ * the weakened gold closure, the ShbEngine's linear mirror of it,
+ * the seeded HB-hidden-race patterns (prediction finds them, replay
+ * confirms them, combined recall strictly beats observed recall), the
  * FIFO-forced soundness negative, candidate bounding with explicit
- * drop counters, and byte-identical predicted output across clock
- * backends.
+ * drop counters, and byte-identical rendered output across runs.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "clock/hybrid_clock.hh"
-#include "clock/tree_clock.hh"
 #include "core/engine.hh"
 #include "gold/closure.hh"
 #include "predict/candidates.hh"
@@ -33,7 +29,6 @@
 namespace asyncclock {
 namespace {
 
-using clock::Backend;
 using core::DetectorEngine;
 using core::ModelKind;
 using gold::GoldRace;
@@ -124,27 +119,8 @@ TEST(WeakClosure, WeakRacesAreASupersetOfStrongRaces)
 }
 
 // ---------------------------------------------------------------
-// ShbEngine is the linear mirror of the weakened closure, under
-// every clock backend.
+// ShbEngine is the linear mirror of the weakened closure.
 // ---------------------------------------------------------------
-
-class BackendGuard
-{
-  public:
-    explicit BackendGuard(Backend b) : saved_(clock::defaultBackend())
-    {
-        clock::TreeClock::resetPruneGuard();
-        clock::HybridClock::resetPruneGuard();
-        clock::setDefaultBackend(b);
-    }
-    ~BackendGuard() { clock::setDefaultBackend(saved_); }
-
-  private:
-    Backend saved_;
-};
-
-constexpr Backend kBackends[] = {Backend::Sparse, Backend::Cow,
-                                 Backend::Tree, Backend::Hybrid};
 
 TEST(ShbEngine, MatchesWeakClosureOnEveryBackend)
 {
@@ -164,16 +140,11 @@ TEST(ShbEngine, MatchesWeakClosureOnEveryBackend)
     for (const trace::Trace &tr : traces) {
         ASSERT_EQ(tr.validate(true), "");
         gold::Closure weak(tr, weakConfigFor(tr));
-        PairSet oracle = racePairs(weak.races());
-        for (Backend b : kBackends) {
-            BackendGuard guard(b);
-            report::ExactChecker sink;
-            predict::ShbEngine shb(tr);
-            shb.run(sink);
-            EXPECT_EQ(shb.malformedDropped(), 0u);
-            EXPECT_EQ(reportPairs(sink.races()), oracle)
-                << "backend " << static_cast<int>(b);
-        }
+        report::ExactChecker sink;
+        predict::ShbEngine shb(tr);
+        shb.run(sink);
+        EXPECT_EQ(shb.malformedDropped(), 0u);
+        EXPECT_EQ(reportPairs(sink.races()), racePairs(weak.races()));
     }
 }
 
@@ -241,11 +212,8 @@ TEST(Predict, ConfirmsQueueReorderedSiblings)
 
 TEST(Predict, SeededPatternsConfirmUnderEveryBackend)
 {
-    for (Backend b : kBackends) {
-        BackendGuard guard(b);
-        expectConfirmedHiddenRace(workload::lockShadowedPattern());
-        expectConfirmedHiddenRace(workload::queueSiblingsPattern());
-    }
+    expectConfirmedHiddenRace(workload::lockShadowedPattern());
+    expectConfirmedHiddenRace(workload::queueSiblingsPattern());
 }
 
 TEST(Predict, FifoForcedPairIsInfeasibleNeverConfirmed)
@@ -358,13 +326,12 @@ TEST(Predict, OverOpsCapLeavesCandidatesUnverified)
 }
 
 // ---------------------------------------------------------------
-// Byte-identical rendered prediction output across clock backends.
+// Byte-identical rendered prediction output across runs.
 // ---------------------------------------------------------------
 
 std::string
-renderPrediction(const trace::Trace &tr, Backend b)
+renderPrediction(const trace::Trace &tr)
 {
-    BackendGuard guard(b);
     std::vector<RaceReport> detected = detectRaces(tr);
     PredictResult res = predict::runPrediction(tr, detected);
     trace::TraceMeta meta = trace::TraceMeta::fromTrace(tr);
@@ -382,12 +349,8 @@ TEST(Predict, RenderedOutputByteIdenticalAcrossBackends)
     traces.push_back(workload::queueSiblingsPattern());
     traces.push_back(workload::fifoForcedPattern());
     traces.push_back(workload::chaosTrace(19, 40));
-    for (const trace::Trace &tr : traces) {
-        const std::string sparse = renderPrediction(tr, Backend::Sparse);
-        EXPECT_EQ(renderPrediction(tr, Backend::Cow), sparse);
-        EXPECT_EQ(renderPrediction(tr, Backend::Tree), sparse);
-        EXPECT_EQ(renderPrediction(tr, Backend::Hybrid), sparse);
-    }
+    for (const trace::Trace &tr : traces)
+        EXPECT_EQ(renderPrediction(tr), renderPrediction(tr));
 }
 
 } // namespace

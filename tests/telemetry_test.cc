@@ -26,7 +26,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "clock/policy.hh"
 #include "core/detector.hh"
 #include "core/engine.hh"
 #include "obs/event_log.hh"
@@ -729,13 +728,9 @@ TEST(PhaseTiming, HistogramsCoverTheRun)
     det.runAll();
     ASSERT_GT(det.opsProcessed(), 0u);
 
-    // The run.info gauge marks the (model, backend) pair. The
-    // backend label follows whatever backend the run used (cfg
-    // defaults to $ASYNCCLOCK_CLOCK), so derive it the same way.
-    const char *backend = clock::backendName(cfg.clockBackend);
+    // The run.info gauge marks the model.
     obs::MetricsSnapshot snap = reg.snapshot();
-    std::string info = obs::seriesName(
-        "run.info", {{"model", "looper"}, {"backend", backend}});
+    std::string info = obs::seriesName("run.info", {{"model", "looper"}});
     bool sawInfo = false;
     for (const auto &[n, v] : snap.gauges) {
         if (n == info) {
@@ -752,9 +747,7 @@ TEST(PhaseTiming, HistogramsCoverTheRun)
     std::uint64_t totalNs = 0;
     for (const char *phase : phases) {
         std::string name = obs::seriesName(
-            "detector.phase_ns", {{"phase", phase},
-                                  {"model", "looper"},
-                                  {"backend", backend}});
+            "detector.phase_ns", {{"phase", phase}, {"model", "looper"}});
         bool found = false;
         for (const obs::HistogramSnapshot &h : snap.histograms) {
             if (h.name != name)
