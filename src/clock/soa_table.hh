@@ -127,30 +127,46 @@ class SoaTable
         return true;
     }
 
-    /** Erase entries where @p pred(key, tick) holds. Rebuilds into
-     * the same capacity; canonical insertion makes the result
-     * layout-identical to building from the surviving set. */
+    /** Erase entries where @p pred(key, tick) holds; @p pred runs
+     * exactly once per entry. Nothing matching leaves storage
+     * untouched; otherwise the table is rebuilt into the same capacity,
+     * and canonical insertion makes the result layout-identical to
+     * building from the surviving set. */
     template <typename Pred>
     void
     eraseIf(Pred &&pred)
     {
-        if (size_ == 0)
+        // The predicate sees a copy of the tick, never the lane.
+        auto drops = [&pred](std::uint32_t key, std::uint32_t tick) {
+            return pred(key, tick);
+        };
+        const std::size_t n = keys_.size();
+        std::size_t first = 0;
+        while (first < n && (keys_[first] == emptyKey ||
+                             !drops(keys_[first], ticks_[first]))) {
+            ++first;
+        }
+        if (first == n)
             return;
         std::vector<std::uint32_t> oldKeys = std::move(keys_);
         std::vector<std::uint32_t> oldTicks = std::move(ticks_);
-        keys_.assign(oldKeys.size(), emptyKey);
-        ticks_.assign(oldTicks.size(), 0u);
+        keys_.assign(n, emptyKey);
+        ticks_.assign(n, 0u);
         size_ = 0;
-        for (std::uint32_t i = 0; i < oldKeys.size(); ++i) {
-            if (oldKeys[i] == emptyKey)
+        for (std::size_t i = 0; i < n; ++i) {
+            if (oldKeys[i] == emptyKey || i == first ||
+                (i > first && drops(oldKeys[i], oldTicks[i]))) {
                 continue;
-            std::uint32_t t = oldTicks[i];
-            if (pred(oldKeys[i], t))
-                continue;
+            }
             insertFresh(oldKeys[i], oldTicks[i]);
             ++size_;
         }
     }
+
+    /** Key lane storage and its capacity, so tests can check that a
+     * no-op eraseIf leaves storage untouched. */
+    const std::uint32_t *data() const { return keys_.data(); }
+    std::size_t capacity() const { return keys_.capacity(); }
 
     /** True when both tables have byte-identical key lanes — the
      * precondition for the lane-wise join/leq loops. */

@@ -62,6 +62,7 @@ clock::ChainId
 AsyncTaskModel::newChain()
 {
     chains_.emplace_back();
+    booked_[MemCat::Other] += sizeof(Chain);
     ++counters_.chainsCreated;
     return static_cast<ChainId>(chains_.size() - 1);
 }
@@ -77,8 +78,10 @@ Epoch
 AsyncTaskModel::tickChain(ChainId c)
 {
     Chain &ch = chains_[c];
+    std::uint64_t before = ch.vc.byteSize();
     clock::Tick t = ++ch.tick;
     ch.vc.raise(c, t);
+    rebook(MemCat::VectorClock, before, ch.vc);
     ++counters_.clockTicks;
     return {c, t};
 }
@@ -86,7 +89,10 @@ AsyncTaskModel::tickChain(ChainId c)
 void
 AsyncTaskModel::joinInto(ChainId c, const VectorClock &vc)
 {
-    chains_[c].vc.joinWith(vc);
+    VectorClock &dst = chains_[c].vc;
+    std::uint64_t before = dst.byteSize();
+    dst.joinWith(vc);
+    rebook(MemCat::VectorClock, before, dst);
     ++counters_.clockJoins;
 }
 
@@ -221,14 +227,19 @@ AsyncTaskModel::applyOp(const Operation &op, OpId id)
             ThreadId t = op.task.index();
             ChainId c = threadChain_[t];
             tickChain(c);
+            std::uint64_t before = threadEndVC_[t].byteSize();
             threadEndVC_[t] = chains_[c].vc;
+            rebook(MemCat::VectorClock, before, threadEndVC_[t]);
         }
         break;
       case OpKind::Fork:
         {
             ChainId c = chainOf(op.task);
             tickChain(c);
-            forkVC_[op.target] = chains_[c].vc;
+            VectorClock &fork = forkVC_[op.target];
+            std::uint64_t before = fork.byteSize();
+            fork = chains_[c].vc;
+            rebook(MemCat::VectorClock, before, fork);
             forkValid_[op.target] = 1;
         }
         break;
@@ -243,7 +254,10 @@ AsyncTaskModel::applyOp(const Operation &op, OpId id)
         {
             ChainId c = chainOf(op.task);
             tickChain(c);
-            handleVC_[op.target].joinWith(chains_[c].vc);
+            VectorClock &h = handleVC_[op.target];
+            std::uint64_t before = h.byteSize();
+            h.joinWith(chains_[c].vc);
+            rebook(MemCat::VectorClock, before, h);
             ++counters_.clockJoins;
         }
         break;
@@ -274,7 +288,10 @@ AsyncTaskModel::applyOp(const Operation &op, OpId id)
             // clock at the spawn tick.
             ChainId c = chainOf(op.task);
             tickChain(c);
-            spawnVC_[op.event] = chains_[c].vc;
+            VectorClock &spawn = spawnVC_[op.event];
+            std::uint64_t before = spawn.byteSize();
+            spawn = chains_[c].vc;
+            rebook(MemCat::EventMeta, before, spawn);
             taskScope_[op.event] = op.target;
             ++scopeOpen_[op.target];
             ++counters_.eventsSeen;
@@ -293,7 +310,9 @@ AsyncTaskModel::applyOp(const Operation &op, OpId id)
             ChainId c = chainOf(op.task);
             Chain &ch = chains_[c];
             if (aged_[op.event]) {
+                std::uint64_t before = ch.vc.byteSize();
                 joinWindowFloor(ch.vc);
+                rebook(MemCat::VectorClock, before, ch.vc);
             } else if (!ch.vc.knows(settleEpoch_[op.event])) {
                 joinInto(c, settleVC_[op.event]);
             }
@@ -341,8 +360,10 @@ void
 AsyncTaskModel::onTaskStart(const Operation &op)
 {
     EventId e = op.task.index();
+    std::uint64_t spawnBytes = spawnVC_[e].byteSize();
     VectorClock vc = std::move(spawnVC_[e]);
     spawnVC_[e].clear();
+    rebook(MemCat::EventMeta, spawnBytes, spawnVC_[e]);
     joinWindowFloor(vc);
 
     // Reuse a freed chain only when this task's start clock covers
@@ -365,7 +386,9 @@ AsyncTaskModel::onTaskStart(const Operation &op)
     Chain &ch = chains_[c];
     vc.raise(c, ++ch.tick);
     ++counters_.clockTicks;
+    std::uint64_t before = ch.vc.byteSize();
     ch.vc = std::move(vc);
+    rebook(MemCat::VectorClock, before, ch.vc);
     startVtime_[e] = op.vtime;
 }
 
@@ -396,10 +419,15 @@ AsyncTaskModel::settleTask(EventId task, HandleId scope,
                            const VectorClock &vc, Epoch settleEpoch,
                            std::uint64_t vtime)
 {
+    std::uint64_t before = settleVC_[task].byteSize();
     settleVC_[task] = vc;
+    rebook(MemCat::EventMeta, before, settleVC_[task]);
     settleEpoch_[task] = settleEpoch;
     if (scope != kInvalidId) {
-        scopeJoin_[scope].joinWith(vc);
+        VectorClock &join = scopeJoin_[scope];
+        before = join.byteSize();
+        join.joinWith(vc);
+        rebook(MemCat::VectorClock, before, join);
         ++counters_.clockJoins;
         --scopeOpen_[scope];
     }
@@ -433,9 +461,11 @@ AsyncTaskModel::ageOneSettled()
         return;
     if (window_.marker == kInvalidId)
         window_.marker = newChain();
+    std::uint64_t before = window_.vc.byteSize();
     window_.vc.joinWith(settleVC_[e]);
     ++counters_.clockJoins;
     window_.vc.raise(window_.marker, ++window_.version);
+    rebook(MemCat::VectorClock, before, window_.vc);
     settleVC_[e].clear();
     aged_[e] = 1;
     ++windowFolds_;
@@ -534,45 +564,34 @@ AsyncTaskModel::registerModelMetrics(obs::MetricsRegistry &reg)
     });
 }
 
-std::uint64_t
-AsyncTaskModel::modelBytes() const
+MemCatBytes
+AsyncTaskModel::memoryBytes() const
 {
-    std::uint64_t total = 0;
-    for (const Chain &ch : chains_)
-        total += ch.byteSize();
-    for (const VectorClock &vc : spawnVC_)
-        total += vc.byteSize();
-    for (const VectorClock &vc : settleVC_)
-        total += vc.byteSize();
-    for (const VectorClock &vc : forkVC_)
-        total += vc.byteSize();
-    for (const VectorClock &vc : threadEndVC_)
-        total += vc.byteSize();
-    for (const VectorClock &vc : handleVC_)
-        total += vc.byteSize();
-    for (const VectorClock &vc : scopeJoin_)
-        total += vc.byteSize();
-    total += window_.vc.byteSize();
-    total += settled_.size() * sizeof(settled_.front());
-    return total;
+    MemCatBytes b = booked_;
+    b[MemCat::Other] += settled_.size() * sizeof(settled_.front());
+    return b;
 }
 
-void
-AsyncTaskModel::sampleMemory(MemStats &stats) const
+MemCatBytes
+AsyncTaskModel::walkMemoryBytes() const
 {
-    std::uint64_t taskBytes = 0;
-    for (const VectorClock &vc : spawnVC_)
-        taskBytes += vc.byteSize();
-    for (const VectorClock &vc : settleVC_)
-        taskBytes += vc.byteSize();
-    std::uint64_t chainBytes = 0;
-    for (const Chain &ch : chains_)
-        chainBytes += ch.byteSize();
-    stats.sample(MemCat::EventMeta, taskBytes);
-    stats.sample(MemCat::AsyncClock, chainBytes);
-    stats.sample(MemCat::VarState, checker_.byteSize());
-    stats.sample(MemCat::Other,
-                 modelBytes() - taskBytes - chainBytes);
+    MemCatBytes b;
+    for (const Chain &ch : chains_) {
+        b[MemCat::VectorClock] += ch.vc.byteSize();
+        b[MemCat::Other] += sizeof(Chain);
+    }
+    for (const auto *clocks : {&spawnVC_, &settleVC_}) {
+        for (const VectorClock &vc : *clocks)
+            b[MemCat::EventMeta] += vc.byteSize();
+    }
+    for (const auto *clocks :
+         {&forkVC_, &threadEndVC_, &handleVC_, &scopeJoin_}) {
+        for (const VectorClock &vc : *clocks)
+            b[MemCat::VectorClock] += vc.byteSize();
+    }
+    b[MemCat::VectorClock] += window_.vc.byteSize();
+    b[MemCat::Other] += settled_.size() * sizeof(settled_.front());
+    return b;
 }
 
 } // namespace asyncclock::core

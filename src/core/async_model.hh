@@ -62,8 +62,8 @@ class AsyncTaskModel : public CausalityModel
     {
         return static_cast<std::uint32_t>(chains_.size());
     }
-    std::uint64_t modelBytes() const override;
-    void sampleMemory(MemStats &stats) const override;
+    MemCatBytes memoryBytes() const override;
+    MemCatBytes walkMemoryBytes() const override;
     void registerModelMetrics(obs::MetricsRegistry &reg) override;
 
   private:
@@ -79,12 +79,6 @@ class AsyncTaskModel : public CausalityModel
         clock::Tick tick = 0;
         VectorClock vc;
         Epoch lastEnd{};
-
-        std::uint64_t
-        byteSize() const
-        {
-            return sizeof(Chain) + vc.byteSize();
-        }
     };
 
     /** The window clock all aged settle times fold into. One per run
@@ -115,6 +109,14 @@ class AsyncTaskModel : public CausalityModel
     /** Join the window clock into @p vc if it does not already carry
      * the current window version. */
     void joinWindowFloor(VectorClock &vc);
+    /** Book the change of @p vc, measured @p before bytes before the
+     * change, under @p cat. Every clock is re-booked where it changes:
+     * byteSize() of a clock costs O(1). */
+    void
+    rebook(MemCat cat, std::uint64_t before, const VectorClock &vc)
+    {
+        booked_.rebook(cat, before, vc.byteSize());
+    }
 
     void onTaskStart(const trace::Operation &op);
     void onTaskFinish(const trace::Operation &op);
@@ -164,6 +166,12 @@ class AsyncTaskModel : public CausalityModel
     WindowClock window_;
     /** Settled tasks in settle order, for window aging. */
     std::deque<std::pair<std::uint64_t, trace::EventId>> settled_;
+
+    /** Running byte totals of everything memoryBytes() reports except
+     * settled_ (sized on read): per-task clocks as EventMeta, all
+     * other clocks as VectorClock, the chain records as Other. A
+     * clock's clear() keeps its capacity, so it needs no re-booking. */
+    MemCatBytes booked_;
 
     std::vector<std::uint8_t> threadPhase_;
     std::vector<std::uint8_t> taskPhase_;

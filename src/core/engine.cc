@@ -175,8 +175,10 @@ DetectorEngine::processOp(const Operation &op, OpId id)
                                  "gc_sweep");
             model_->gcSweep();
         }
-        // Memory-pressure check rides the GC cadence: modelBytes()
-        // walks all live metadata, far too costly per op.
+        // Memory-pressure check rides the GC cadence. modelBytes()
+        // reads running totals and would be cheap per op, but checking
+        // at other ops would move the ladder's decisions, and with
+        // them the reports of budgeted runs.
         if (cfg_.memBudgetBytes > 0)
             model_->relieveMemoryPressure(op.vtime);
     }
@@ -202,7 +204,9 @@ DetectorEngine::metadataBytes() const
 void
 DetectorEngine::sampleMemory(MemStats &stats) const
 {
-    model_->sampleMemory(stats);
+    MemCatBytes bytes = model_->memoryBytes();
+    bytes[MemCat::VarState] = checker_.byteSize();
+    stats.sampleAll(bytes);
 }
 
 void

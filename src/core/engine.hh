@@ -114,6 +114,7 @@ class DetectorEngine : public report::Detector
 
     /** The causality model this engine hosts. */
     ModelKind modelKind() const { return model_->kind(); }
+    const CausalityModel &model() const { return *model_; }
 
     // ----- services for the plugged-in model ------------------------
     /** Entity tables seen so far by the source. */

@@ -58,16 +58,19 @@ stopsWalk(const trace::SendAttrs &found, const trace::SendAttrs &target)
 
 } // namespace
 
-std::uint64_t
-LooperModel::ChainState::byteSize() const
+MemCatBytes
+LooperModel::ChainState::bytes() const
 {
-    std::uint64_t total = sizeof(ChainState) + vc.byteSize() +
-                          acSetBytes(acs) + atomicSetBytes(atomic) +
-                          sendLists.byteSize() + fifoChild.byteSize();
-    sendLists.forEach([&total](std::uint32_t, const SendList &list) {
-        total += list.byteSize();
+    MemCatBytes b;
+    b[MemCat::VectorClock] = vc.byteSize();
+    b[MemCat::AsyncClock] = acSetBytes(acs) + atomicSetBytes(atomic);
+    std::uint64_t lists = sendLists.byteSize();
+    sendLists.forEach([&lists](std::uint32_t, const SendList &list) {
+        lists += list.byteSize();
     });
-    return total;
+    b[MemCat::AsyncBefore] = lists;
+    b[MemCat::Other] = sizeof(ChainState) + fifoChild.byteSize();
+    return b;
 }
 
 LooperModel::LooperModel(DetectorEngine &engine)
@@ -120,31 +123,13 @@ LooperModel::~LooperModel()
     // vector's destruction cascade; with no cycles left, the
     // remaining references die with the model's members.
     std::vector<EventRef> drained;
-    auto drainACs = [&drained](ACSet &acs) {
-        acs.forEach([&drained](std::uint32_t, AsyncClock &ac) {
-            ac.eraseIf([&drained](ChainId, ACEntry &entry) {
-                if (entry.ev.hasRef())
-                    drained.push_back(std::move(entry.ev));
-                return true;
-            });
-        });
-    };
-    auto drainAtomic = [&drained](AtomicSet &ats) {
-        ats.forEach([&drained](std::uint32_t, AtomicClock &ac) {
-            ac.eraseIf([&drained](ChainId, AtomicEntry &entry) {
-                if (entry.ev.hasRef())
-                    drained.push_back(std::move(entry.ev));
-                return true;
-            });
-        });
-    };
     for (EventMeta *m = registry_.head; m; m = m->next) {
-        drainACs(m->sendACs);
-        drainACs(m->endACs);
-        drainACs(m->beginACs);
-        drainAtomic(m->sendAtomic);
-        drainAtomic(m->endAtomic);
-        drainAtomic(m->beginAtomic);
+        drainACSet(m->sendACs, drained);
+        drainACSet(m->endACs, drained);
+        drainACSet(m->beginACs, drained);
+        drainAtomicSet(m->sendAtomic, drained);
+        drainAtomicSet(m->endAtomic, drained);
+        drainAtomicSet(m->beginAtomic, drained);
         for (EventRef &ref : m->sentAtFront)
             drained.push_back(std::move(ref));
         m->sentAtFront.clear();
@@ -155,8 +140,34 @@ clock::ChainId
 LooperModel::newChain()
 {
     chains_.emplace_back();
+    chainBooked_.emplace_back();
     ++counters_.chainsCreated;
-    return static_cast<ChainId>(chains_.size() - 1);
+    ChainId c = static_cast<ChainId>(chains_.size() - 1);
+    touchChain(c);
+    return c;
+}
+
+void
+LooperModel::touchChain(ChainId c)
+{
+    ChainBooking &cb = chainBooked_[c];
+    if (!cb.dirty) {
+        cb.dirty = true;
+        dirtyChains_.push_back(c);
+    }
+}
+
+void
+LooperModel::settleChains() const
+{
+    for (ChainId c : dirtyChains_) {
+        ChainBooking &cb = chainBooked_[c];
+        MemCatBytes now = chains_[c].bytes();
+        booked_.rebook(cb.bytes, now);
+        cb.bytes = now;
+        cb.dirty = false;
+    }
+    dirtyChains_.clear();
 }
 
 clock::ChainId
@@ -173,12 +184,14 @@ LooperModel::tickChain(ChainId c)
     clock::Tick t = ++ch.tick;
     ch.vc.raise(c, t);
     ++counters_.clockTicks;
+    touchChain(c);
     return {c, t};
 }
 
 void
 LooperModel::joinIntoChain(ChainId c, const Snapshot &snap)
 {
+    touchChain(c);
     ChainState &ch = chains_[c];
     ch.vc.joinWith(snap.vc);
     ++counters_.clockJoins;
@@ -319,9 +332,11 @@ LooperModel::applyOp(const Operation &op, OpId id)
             tickChain(c);
             ChainState &ch = chains_[c];
             Snapshot &snap = forkSnap_[op.target];
+            MemCatBytes before = snap.bytes();
             snap.vc = ch.vc;
             snap.acs = ch.acs;
             snap.atomic = ch.atomic;
+            booked_.rebook(before, snap.bytes());
             forkSnapValid_[op.target] = true;
         }
         break;
@@ -339,10 +354,12 @@ LooperModel::applyOp(const Operation &op, OpId id)
             tickChain(c);
             ChainState &ch = chains_[c];
             Snapshot &h = handleState_[op.target];
+            MemCatBytes before = h.bytes();
             h.vc.joinWith(ch.vc);
             ++counters_.clockJoins;
             joinACSet(h.acs, ch.acs);
             joinAtomicSet(h.atomic, ch.atomic);
+            booked_.rebook(before, h.bytes());
         }
         break;
       case OpKind::Wait:
@@ -417,6 +434,7 @@ LooperModel::onThreadBegin(const Operation &op)
     threadChain_[t] = c;
     if (forkSnapValid_[t]) {
         joinIntoChain(c, forkSnap_[t]);
+        booked_.rebook(forkSnap_[t].bytes(), MemCatBytes{});
         forkSnap_[t] = Snapshot();
         forkSnapValid_[t] = false;
     }
@@ -424,9 +442,11 @@ LooperModel::onThreadBegin(const Operation &op)
     if (meta().thread(t).kind == trace::ThreadKind::Looper) {
         ChainState &ch = chains_[c];
         Snapshot &lb = looperBegin_[t];
+        MemCatBytes before = lb.bytes();
         lb.vc = ch.vc;
         lb.acs = ch.acs;
         lb.atomic = ch.atomic;
+        booked_.rebook(before, lb.bytes());
         looperBeginEpoch_[t] = beginEpoch;
     }
 }
@@ -442,11 +462,13 @@ LooperModel::onThreadEnd(const Operation &op)
     ++counters_.clockJoins;
     threadEndEpoch_[t] = tickChain(c);
     Snapshot &end = threadEndState_[t];
+    MemCatBytes before = end.bytes();
     end.vc = ch.vc;
     end.acs = std::move(ch.acs);
     end.atomic = std::move(ch.atomic);
     ch.acs.clear();
     ch.atomic.clear();
+    booked_.rebook(before, end.bytes());
 }
 
 void
@@ -505,6 +527,7 @@ LooperModel::onSend(const Operation &op)
     m->sendVC = ch.vc;
     m->sendACs = ch.acs;      // deep copy (entries share refs)
     m->sendAtomic = ch.atomic;
+    m->rebook();
     ++counters_.eventsSeen;
 
     // Async-before list record (section 5.3).
@@ -528,7 +551,10 @@ LooperModel::onSend(const Operation &op)
 
     if (!cfg_.reclaimHeirless)
         pinned_.push_back(meta);
-    pending_[op.target][op.event] = std::move(meta);
+    FlatMap<EventRef> &pending = pending_[op.target];
+    std::uint64_t before = pending.byteSize();
+    pending[op.event] = std::move(meta);
+    booked_.rebook(MemCat::Other, before, pending.byteSize());
 }
 
 void
@@ -560,6 +586,7 @@ LooperModel::resolveRemoved(EventMeta *m)
     m->endACs = std::move(m->sendACs);
     m->endAtomic = std::move(m->sendAtomic);
     m->sendVC.clear();
+    m->rebook();
 }
 
 void
@@ -934,6 +961,7 @@ LooperModel::chooseChain(EventMeta *m, const Resolution &r)
             ch.fifoParent = sender;
             ch.fifoQueue = m->queue;
             chains_[sender].fifoChild[m->queue] = c;
+            touchChain(sender);
             ++counters_.fifoLevel[lvl + 1];
             return c;
         }
@@ -1049,6 +1077,7 @@ LooperModel::onEventBegin(const Operation &op, OpId id)
 
     ChainId c = chooseChain(m, r);
     eventChain_[e] = c;
+    touchChain(c);
     ChainState &ch = chains_[c];
     clock::Tick beginTick = ++ch.tick;
     m->beginEpoch = {c, beginTick};
@@ -1107,12 +1136,17 @@ LooperModel::onEventBegin(const Operation &op, OpId id)
         pending_[info.queue].forEach(
             [&](EventId, EventRef &other) {
                 EventMeta *o = other.get();
-                if (o && m->sendVC.knows(o->sendEpoch))
+                if (o && m->sendVC.knows(o->sendEpoch)) {
                     o->sentAtFront.push_back(ref);
+                    o->rebook();
+                }
             });
     }
+    m->rebook();
 
+    std::uint64_t before = running_.byteSize();
     running_[e] = std::move(ref);
+    booked_.rebook(MemCat::Other, before, running_.byteSize());
 }
 
 void
@@ -1158,8 +1192,11 @@ LooperModel::onEventEnd(const Operation &op)
 
     ThreadId looper = meta().looperOf(e);
     if (looper != kInvalidId) {
-        looperEndAccum_[looper].joinWith(m->endVC);
+        VectorClock &accum = looperEndAccum_[looper];
+        std::uint64_t before = accum.byteSize();
+        accum.joinWith(m->endVC);
         ++counters_.clockJoins;
+        booked_.rebook(MemCat::VectorClock, before, accum.byteSize());
     }
 
     // Multi-path reduction (section 4.1): a predecessor held only by
@@ -1169,6 +1206,8 @@ LooperModel::onEventEnd(const Operation &op)
     // it at its next send. sendVC is retained for those re-checks.
     if (cfg_.multiPathReduction && cfg_.reclaimHeirless)
         multiPathReduce(m);
+    // The meta's final size: later cleanses keep every capacity.
+    m->rebook();
 
     if (cfg_.windowMs > 0)
         endedQueue_.emplace_back(op.vtime, WeakPtr<EventMeta>(ref));
@@ -1201,8 +1240,9 @@ LooperModel::retireChain(ChainId c)
         return;
     ch.retired = true;
     ch.lastEvent.reset();
-    ch.acs.clear();
+    ch.acs.clear();  // frees the per-queue clocks
     ch.atomic.clear();
+    touchChain(c);
     if (ch.fifoParent != kInvalidId) {
         chains_[ch.fifoParent].fifoChild.erase(ch.fifoQueue);
         ch.fifoParent = kInvalidId;
@@ -1242,11 +1282,13 @@ LooperModel::ageOneEnded()
     WindowClock &tc = windowClock_[x->queue];
     if (tc.marker == kInvalidId)
         tc.marker = newChain();
+    MemCatBytes before = tc.bytes();
     tc.vc.joinWith(x->endVC);
     ++counters_.clockJoins;
     joinACSet(tc.acs, x->endACs);
     joinAtomicSet(tc.atomic, x->endAtomic);
     tc.vc.raise(tc.marker, ++tc.version);
+    booked_.rebook(before, tc.bytes());
     ChainId c = x->beginEpoch.chain;
     ChainState &ch = chains_[c];
     if (!ch.retired && ch.lastEnded && ch.lastEvent.get() == x &&
@@ -1376,8 +1418,9 @@ LooperModel::aggressiveSweep()
     // only removed when they dominate, capacity is never returned).
     // Under pressure the trade flips: purge every dead/aged record
     // and shrink the vectors to fit.
-    for (ChainState &ch : chains_) {
-        ch.sendLists.forEach([](std::uint32_t, SendList &list) {
+    for (ChainId c = 0; c < chains_.size(); ++c) {
+        touchChain(c);
+        chains_[c].sendLists.forEach([](std::uint32_t, SendList &list) {
             auto &recs = list.recs;
             recs.erase(std::remove_if(recs.begin(), recs.end(),
                                       [](const SendRec &rec) {
@@ -1460,46 +1503,38 @@ LooperModel::relieveMemoryPressure(std::uint64_t now)
     }
 }
 
-std::uint64_t
-LooperModel::modelBytes() const
+MemCatBytes
+LooperModel::memoryBytes() const
 {
-    std::uint64_t total = 0;
-    for (const ChainState &ch : chains_)
-        total += ch.byteSize();
-    for (const EventMeta *m = registry_.head; m; m = m->next)
-        total += m->byteSize();
-    for (const Snapshot &s : handleState_)
-        total += s.byteSize();
-    for (const Snapshot &s : looperBegin_)
-        total += s.byteSize();
-    for (const Snapshot &s : threadEndState_)
-        total += s.byteSize();
-    for (const Snapshot &s : forkSnap_)
-        total += s.byteSize();
-    for (const VectorClock &vc : looperEndAccum_)
-        total += vc.byteSize();
-    for (const WindowClock &tc : windowClock_)
-        total += tc.byteSize();
-    for (const auto &p : pending_)
-        total += p.byteSize();
-    total += running_.byteSize();
-    total += endedQueue_.size() * sizeof(endedQueue_.front());
-    return total;
+    settleChains();
+    MemCatBytes b = booked_;
+    b[MemCat::EventMeta] = registry_.bytes;
+    b[MemCat::Other] += endedQueue_.size() * sizeof(endedQueue_.front());
+    return b;
 }
 
-void
-LooperModel::sampleMemory(MemStats &stats) const
+MemCatBytes
+LooperModel::walkMemoryBytes() const
 {
-    std::uint64_t metaBytes = 0;
-    for (const EventMeta *m = registry_.head; m; m = m->next)
-        metaBytes += m->byteSize();
-    std::uint64_t chainBytes = 0;
+    MemCatBytes b;
     for (const ChainState &ch : chains_)
-        chainBytes += ch.byteSize();
-    stats.sample(MemCat::EventMeta, metaBytes);
-    stats.sample(MemCat::AsyncClock, chainBytes);
-    stats.sample(MemCat::VarState, checker_.byteSize());
-    stats.sample(MemCat::Other, modelBytes() - metaBytes - chainBytes);
+        b += ch.bytes();
+    for (const EventMeta *m = registry_.head; m; m = m->next)
+        b[MemCat::EventMeta] += m->byteSize();
+    for (const auto *snaps :
+         {&handleState_, &looperBegin_, &threadEndState_, &forkSnap_}) {
+        for (const Snapshot &s : *snaps)
+            b += s.bytes();
+    }
+    for (const WindowClock &tc : windowClock_)
+        b += tc.bytes();
+    for (const VectorClock &vc : looperEndAccum_)
+        b[MemCat::VectorClock] += vc.byteSize();
+    for (const auto &p : pending_)
+        b[MemCat::Other] += p.byteSize();
+    b[MemCat::Other] += running_.byteSize() +
+                        endedQueue_.size() * sizeof(endedQueue_.front());
+    return b;
 }
 
 } // namespace asyncclock::core

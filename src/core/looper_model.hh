@@ -66,8 +66,8 @@ class LooperModel : public CausalityModel
     {
         return static_cast<std::uint32_t>(chains_.size());
     }
-    std::uint64_t modelBytes() const override;
-    void sampleMemory(MemStats &stats) const override;
+    MemCatBytes memoryBytes() const override;
+    MemCatBytes walkMemoryBytes() const override;
     void registerModelMetrics(obs::MetricsRegistry &reg) override;
 
   private:
@@ -134,7 +134,10 @@ class LooperModel : public CausalityModel
         clock::ChainId fifoParent = trace::kInvalidId;
         trace::QueueId fifoQueue = trace::kInvalidId;
 
-        std::uint64_t byteSize() const;
+        /** Walked bytes: the clock as VectorClock, AsyncClock and
+         * atomic sets as AsyncClock, async-before lists as
+         * AsyncBefore, the rest as Other. */
+        MemCatBytes bytes() const;
     };
 
     /** Snapshot passed across fork/signal edges. */
@@ -144,11 +147,15 @@ class LooperModel : public CausalityModel
         ACSet acs;
         AtomicSet atomic;
 
-        std::uint64_t
-        byteSize() const
+        /** Walked bytes, booked like a chain's. */
+        MemCatBytes
+        bytes() const
         {
-            return vc.byteSize() + acSetBytes(acs) +
-                   atomicSetBytes(atomic);
+            MemCatBytes b;
+            b[MemCat::VectorClock] = vc.byteSize();
+            b[MemCat::AsyncClock] =
+                acSetBytes(acs) + atomicSetBytes(atomic);
+            return b;
         }
     };
 
@@ -258,6 +265,13 @@ class LooperModel : public CausalityModel
      * argument). */
     void dominanceDrop(EventMeta *m);
 
+    // ----- running byte totals --------------------------------------
+    /** Mark chain @p c as changed since the last byte read. */
+    void touchChain(ChainId c);
+    /** Re-measure the chains touched since the last read and book
+     * the differences; every byte read starts here. */
+    void settleChains() const;
+
     DetectorEngine &engine_;
     /** Engine-owned services, bound once (the moved resolution code
      * reads these under their pre-split member names). */
@@ -302,6 +316,21 @@ class LooperModel : public CausalityModel
     std::vector<EventRef> pinned_;
 
     MetaRegistry registry_;
+
+    /** Booked bytes of everything memoryBytes() reports except the
+     * metas (registry_.bytes) and endedQueue_ (sized on read). Chains
+     * change on almost every op, so a change only marks the chain and
+     * the next read re-measures it; snapshots, window clocks,
+     * looperEndAccum_, pending_ and running_ change at a few sites,
+     * which re-book them on the spot. Mutable: reads settle it. */
+    mutable MemCatBytes booked_;
+    struct ChainBooking
+    {
+        MemCatBytes bytes;   ///< as last booked
+        bool dirty = false;  ///< changed since; listed in dirtyChains_
+    };
+    mutable std::vector<ChainBooking> chainBooked_;  ///< per chain
+    mutable std::vector<ChainId> dirtyChains_;
 
     std::vector<std::uint8_t> threadPhase_;   ///< per thread
     std::vector<std::uint8_t> eventPhase_;    ///< per event

@@ -25,6 +25,7 @@
 #include "clock/vector_clock.hh"
 #include "support/flat_map.hh"
 #include "support/inv_ptr.hh"
+#include "support/logging.hh"
 #include "trace/trace.hh"
 
 namespace asyncclock::core {
@@ -92,6 +93,13 @@ class AsyncClock
     template <typename Fn>
     void
     forEach(Fn &&fn) const
+    {
+        map_.forEach(fn);
+    }
+
+    template <typename Fn>
+    void
+    forEach(Fn &&fn)
     {
         map_.forEach(fn);
     }
@@ -173,16 +181,18 @@ atomicSetBytes(const AtomicSet &ats)
     return total;
 }
 
-/** Intrusive registry of live metas (for byte polling), plus the
- * shared drain queue that turns chained metadata destruction into a
- * loop — a causal chain thousands of events long must not unwind as
- * destructor recursion (stack overflow). */
+/** Intrusive registry of live metas, with their running byte total,
+ * plus the shared drain queue that turns chained metadata destruction
+ * into a loop — a causal chain thousands of events long must not
+ * unwind as destructor recursion (stack overflow). */
 struct MetaRegistry
 {
     EventMeta *head = nullptr;
     std::uint64_t live = 0;
     std::uint64_t livePeak = 0;
     std::uint64_t destroyed = 0;
+    /** Sum of the live metas' booked bytes (EventMeta::rebook). */
+    std::uint64_t bytes = 0;
     bool draining = false;
     std::vector<EventRef> drainQueue;
 };
@@ -192,11 +202,11 @@ inline void
 drainACSet(ACSet &acs, std::vector<EventRef> &out)
 {
     acs.forEach([&out](std::uint32_t, AsyncClock &ac) {
-        ac.eraseIf([&out](clock::ChainId, ACEntry &entry) {
+        ac.forEach([&out](clock::ChainId, ACEntry &entry) {
             if (entry.ev.hasRef())
                 out.push_back(std::move(entry.ev));
-            return true;
         });
+        ac.clear();
     });
 }
 
@@ -204,11 +214,11 @@ inline void
 drainAtomicSet(AtomicSet &ats, std::vector<EventRef> &out)
 {
     ats.forEach([&out](std::uint32_t, AtomicClock &ac) {
-        ac.eraseIf([&out](clock::ChainId, AtomicEntry &entry) {
+        ac.forEach([&out](clock::ChainId, AtomicEntry &entry) {
             if (entry.ev.hasRef())
                 out.push_back(std::move(entry.ev));
-            return true;
         });
+        ac.clear();
     });
 }
 
@@ -242,6 +252,10 @@ struct EventMeta
     bool resolvedRemoved = false;   ///< lazy removed-event resolution
     clock::Epoch beginEpoch{};
     clock::Epoch endEpoch{};
+    /** byteSize() as last booked into registry->bytes (see rebook()).
+     * 32 bits fill the alignment gap before endVC, so the field adds
+     * nothing to sizeof(EventMeta), which byteSize() itself counts. */
+    std::uint32_t bookedBytes = 0;
     clock::VectorClock endVC;       ///< also holds a removed event's
                                     ///< resolved clock
     ACSet endACs;
@@ -272,6 +286,7 @@ struct EventMeta
         ++reg.live;
         if (reg.live > reg.livePeak)
             reg.livePeak = reg.live;
+        rebook();
     }
 
     EventMeta(const EventMeta &) = delete;
@@ -287,6 +302,7 @@ struct EventMeta
             next->prev = prev;
         --registry->live;
         ++registry->destroyed;
+        registry->bytes -= bookedBytes;
 
         // Hand outgoing references to the registry's drain queue and,
         // if no drain is already running above us on the stack, run
@@ -313,6 +329,7 @@ struct EventMeta
         }
     }
 
+    /** Heap and inline bytes, walked over every clock and list. */
     std::uint64_t
     byteSize() const
     {
@@ -322,6 +339,23 @@ struct EventMeta
                atomicSetBytes(endAtomic) + beginVC.byteSize() +
                acSetBytes(beginACs) + atomicSetBytes(beginAtomic) +
                sentAtFront.capacity() * sizeof(EventRef);
+    }
+
+    /**
+     * Re-measure after a change and book the difference into
+     * registry->bytes. The model calls this wherever a meta changes
+     * size: at send, begin and end, when its sent-at-front list grows
+     * and when a removed event is resolved. Nothing else changes an
+     * ended meta's size: GC cleanses and multi-path reduction erase
+     * entries in place, keeping every table's capacity.
+     */
+    void
+    rebook()
+    {
+        std::uint64_t now = byteSize();
+        acAssert(now <= UINT32_MAX, "EventMeta over 4 GiB");
+        registry->bytes = registry->bytes - bookedBytes + now;
+        bookedBytes = static_cast<std::uint32_t>(now);
     }
 };
 

@@ -137,14 +137,20 @@ class CausalityModel
     /** Number of chains ever created (clock dimension). */
     virtual std::uint32_t numChains() const = 0;
 
+    /** Live model-metadata bytes per category, excluding the checker
+     * (VarState stays 0). Read from running totals, so the cost is the
+     * number of owners that changed since the previous read, not the
+     * amount of live metadata. */
+    virtual MemCatBytes memoryBytes() const = 0;
+
+    /** The same numbers computed by walking every owner's byteSize():
+     * the oracle memoryBytes() is tested against. */
+    virtual MemCatBytes walkMemoryBytes() const = 0;
+
     /** Live model-metadata bytes, excluding the checker (the
      * pressure ladder keys off this — see checkpoint.hh for why the
      * checker is excluded). */
-    virtual std::uint64_t modelBytes() const = 0;
-
-    /** Record current per-category live bytes (including the
-     * checker's, under MemCat::VarState). */
-    virtual void sampleMemory(MemStats &stats) const = 0;
+    std::uint64_t modelBytes() const { return memoryBytes().total(); }
 
     /** Register model-specific ("model.*") metrics. Called once from
      * DetectorEngine::attachObs when a registry is present. */

@@ -541,12 +541,13 @@ EventRacerDetector::sampleMemory(MemStats &stats) const
                      n.preds.capacity() * sizeof(std::uint32_t);
         clockBytes += n.vc.byteSize();
     }
-    stats.sample(MemCat::GraphNode, nodeBytes);
-    stats.sample(MemCat::VectorClock, clockBytes);
-    stats.sample(MemCat::VarState, checker_.byteSize());
-    stats.sample(MemCat::Other,
-                 metadataBytes() - nodeBytes - clockBytes -
-                     checker_.byteSize());
+    MemCatBytes bytes;
+    bytes[MemCat::GraphNode] = nodeBytes;
+    bytes[MemCat::VectorClock] = clockBytes;
+    bytes[MemCat::VarState] = checker_.byteSize();
+    bytes[MemCat::Other] = metadataBytes() - nodeBytes - clockBytes -
+                           bytes[MemCat::VarState];
+    stats.sampleAll(bytes);
 }
 
 } // namespace asyncclock::graph

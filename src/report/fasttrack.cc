@@ -100,6 +100,14 @@ FastTrackChecker::report(trace::VarId var, const Access &prev,
 }
 
 void
+FastTrackChecker::raiseRead(VarState &st, const clock::Epoch &e)
+{
+    std::uint64_t before = st.readVC.byteSize();
+    st.readVC.raise(e.chain, e.tick);
+    readBytes_ = readBytes_ - before + st.readVC.byteSize();
+}
+
+void
 FastTrackChecker::onAccess(trace::VarId var, const Access &access,
                            const clock::VectorClock &vc)
 {
@@ -136,7 +144,7 @@ FastTrackChecker::onAccess(trace::VarId var, const Access &access,
         report(var, st.lastWrite, access);
 
     if (st.shared) {
-        st.readVC.raise(access.epoch.chain, access.epoch.tick);
+        raiseRead(st, access.epoch);
         st.lastRead = access;
         return;
     }
@@ -149,8 +157,8 @@ FastTrackChecker::onAccess(trace::VarId var, const Access &access,
     }
     // Concurrent reads: become read-shared.
     st.shared = true;
-    st.readVC.raise(st.read.chain, st.read.tick);
-    st.readVC.raise(access.epoch.chain, access.epoch.tick);
+    raiseRead(st, st.read);
+    raiseRead(st, access.epoch);
     st.lastRead = access;
 }
 
@@ -259,11 +267,20 @@ FastTrackChecker::loadState(std::istream &in)
     }
     vars_ = std::move(vars);
     races_ = std::move(races);
+    readBytes_ = 0;
+    for (const VarState &st : vars_)
+        readBytes_ += st.readVC.byteSize();
     return Status::ok();
 }
 
 std::uint64_t
 FastTrackChecker::byteSize() const
+{
+    return vars_.capacity() * sizeof(VarState) + readBytes_;
+}
+
+std::uint64_t
+FastTrackChecker::walkByteSize() const
 {
     std::uint64_t total = vars_.capacity() * sizeof(VarState);
     for (const auto &st : vars_)

@@ -37,7 +37,12 @@ class FastTrackChecker : public AccessChecker
         return races_;
     }
 
+    /** O(1): the var table plus a running total of the read clocks. */
     std::uint64_t byteSize() const override;
+
+    /** The same number walked over every read clock: the oracle
+     * byteSize() is tested against. */
+    std::uint64_t walkByteSize() const;
 
     /**
      * Serialize the complete checker state — every VarState (epochs,
@@ -69,9 +74,15 @@ class FastTrackChecker : public AccessChecker
 
     void report(trace::VarId var, const Access &prev,
                 const Access &cur);
+    /** Raise @p st's read clock, booking its growth in readBytes_. */
+    void raiseRead(VarState &st, const clock::Epoch &e);
 
     std::vector<VarState> vars_;
     std::vector<RaceReport> races_;
+    /** Sum of readVC.byteSize() over vars_. Read clocks only grow by
+     * raiseRead (clear() keeps capacity) or are replaced by loadState,
+     * which re-walks them. */
+    std::uint64_t readBytes_ = 0;
 };
 
 } // namespace asyncclock::report

@@ -171,24 +171,43 @@ class FlatMap
     }
 
     /**
-     * Erase every entry for which @p pred(key, value) returns true.
-     * Implemented by rebuilding: backshift deletion during iteration
-     * would revisit moved slots.
+     * Erase every entry for which @p pred(key, value) returns true;
+     * @p pred runs exactly once per entry. A scan finds the first
+     * match; when there is none, storage is left untouched (GC sweeps
+     * mostly find nothing to drop). Otherwise the table is rebuilt at
+     * the same size: backshift deletion during iteration would revisit
+     * moved slots.
      */
     template <typename Pred>
     void
     eraseIf(Pred &&pred)
     {
-        if (size_ == 0)
+        const std::size_t n = slots_.size();
+        std::size_t first = 0;
+        while (first < n && (slots_[first].key == emptyKey ||
+                             !pred(slots_[first].key,
+                                   slots_[first].value))) {
+            ++first;
+        }
+        if (first == n)
             return;
         std::vector<Slot> old = std::move(slots_);
-        slots_.assign(old.size(), Slot{});
+        slots_.assign(n, Slot{});
         size_ = 0;
-        for (auto &s : old) {
-            if (s.key != emptyKey && !pred(s.key, s.value))
-                insertFresh(s.key, std::move(s.value));
+        for (std::size_t i = 0; i < n; ++i) {
+            Slot &s = old[i];
+            if (s.key == emptyKey || i == first ||
+                (i > first && pred(s.key, s.value))) {
+                continue;
+            }
+            insertFresh(s.key, std::move(s.value));
         }
     }
+
+    /** Slot storage and its capacity, so tests can check that a
+     * no-op eraseIf leaves storage untouched. */
+    const Slot *data() const { return slots_.data(); }
+    std::size_t capacity() const { return slots_.capacity(); }
 
   private:
     std::uint32_t

@@ -38,6 +38,64 @@ enum class MemCat : unsigned {
 /** Human-readable name of a MemCat. */
 const char *memCatName(MemCat cat);
 
+constexpr unsigned kNumMemCats =
+    static_cast<unsigned>(MemCat::NumCategories);
+
+/** One byte count per MemCat. Also the unit of running byte totals:
+ * an owner's bytes are booked into a total once, and re-booked when
+ * the owner changes, so reading the total never walks the owners. */
+struct MemCatBytes
+{
+    std::array<std::uint64_t, kNumMemCats> bytes{};
+
+    std::uint64_t &
+    operator[](MemCat cat)
+    {
+        return bytes[static_cast<unsigned>(cat)];
+    }
+
+    std::uint64_t
+    operator[](MemCat cat) const
+    {
+        return bytes[static_cast<unsigned>(cat)];
+    }
+
+    std::uint64_t
+    total() const
+    {
+        std::uint64_t sum = 0;
+        for (std::uint64_t b : bytes)
+            sum += b;
+        return sum;
+    }
+
+    MemCatBytes &
+    operator+=(const MemCatBytes &other)
+    {
+        for (unsigned i = 0; i < kNumMemCats; ++i)
+            bytes[i] += other.bytes[i];
+        return *this;
+    }
+
+    bool operator==(const MemCatBytes &other) const = default;
+
+    /** An owner booked as @p before now measures @p after. */
+    void
+    rebook(const MemCatBytes &before, const MemCatBytes &after)
+    {
+        for (unsigned i = 0; i < kNumMemCats; ++i)
+            bytes[i] = bytes[i] - before.bytes[i] + after.bytes[i];
+    }
+
+    /** Single-category form of rebook(). */
+    void
+    rebook(MemCat cat, std::uint64_t before, std::uint64_t after)
+    {
+        std::uint64_t &b = (*this)[cat];
+        b = b - before + after;
+    }
+};
+
 /**
  * Live/peak byte counters, one pair per MemCat plus a total.
  *
@@ -90,6 +148,26 @@ class MemStats
             peakTotal_ = liveTotal_;
     }
 
+    /**
+     * Set every category at once. The total peak is updated once, from
+     * the new total: a series of sample() calls would also see each
+     * intermediate sum, which never existed when one category grew
+     * while a later one shrank.
+     */
+    void
+    sampleAll(const MemCatBytes &bytes)
+    {
+        liveTotal_ = 0;
+        for (unsigned i = 0; i < numCats; ++i) {
+            live_[i] = bytes.bytes[i];
+            if (live_[i] > peak_[i])
+                peak_[i] = live_[i];
+            liveTotal_ += live_[i];
+        }
+        if (liveTotal_ > peakTotal_)
+            peakTotal_ = liveTotal_;
+    }
+
     std::uint64_t
     live(MemCat cat) const
     {
@@ -112,8 +190,7 @@ class MemStats
     void reset();
 
   private:
-    static constexpr unsigned numCats =
-        static_cast<unsigned>(MemCat::NumCategories);
+    static constexpr unsigned numCats = kNumMemCats;
 
     std::array<std::uint64_t, numCats> live_{};
     std::array<std::uint64_t, numCats> peak_{};

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "clock/vector_clock.hh"
 #include "support/rng.hh"
 
@@ -82,6 +84,45 @@ TEST(VectorClock, EraseIfDropsEntries)
     EXPECT_EQ(vc.size(), 5u);
     EXPECT_EQ(vc.get(4), 5u);
     EXPECT_EQ(vc.get(7), 0u);
+}
+
+TEST(SoaTable, EraseIfMatchingNothingLeavesStorage)
+{
+    SoaTable t;
+    for (std::uint32_t k = 0; k < 100; ++k)
+        t.raiseTo(k, k + 1);
+    const std::uint32_t *data = t.data();
+    const std::size_t cap = t.capacity();
+    std::map<std::uint32_t, int> calls;
+    t.eraseIf([&calls](std::uint32_t k, std::uint32_t &) {
+        ++calls[k];
+        return false;
+    });
+    EXPECT_EQ(t.data(), data);
+    EXPECT_EQ(t.capacity(), cap);
+    EXPECT_EQ(t.size(), 100u);
+    ASSERT_EQ(calls.size(), 100u);
+    for (const auto &[k, n] : calls)
+        EXPECT_EQ(n, 1) << "key " << k;
+
+    // A match rebuilds into the canonical layout of the survivors,
+    // still visiting every entry once.
+    calls.clear();
+    t.eraseIf([&calls](std::uint32_t k, std::uint32_t &) {
+        ++calls[k];
+        return k == 57;
+    });
+    SoaTable fresh;
+    for (std::uint32_t k = 0; k < 100; ++k) {
+        if (k != 57)
+            fresh.raiseTo(k, k + 1);
+    }
+    EXPECT_TRUE(t.sameLayout(fresh));
+    EXPECT_TRUE(t.equals(fresh));
+    EXPECT_EQ(t.capacity(), cap);
+    ASSERT_EQ(calls.size(), 100u);
+    for (const auto &[k, n] : calls)
+        EXPECT_EQ(n, 1) << "key " << k;
 }
 
 TEST(VectorClock, JoinPropertiesRandomized)

@@ -68,6 +68,34 @@ TEST(MemStats, SampleSetsAbsoluteValue)
     EXPECT_EQ(s.liveTotal(), 1200u);
 }
 
+TEST(MemStats, SampleAllRecordsOnlyTotalsThatExisted)
+{
+    MemCatBytes before;
+    before[MemCat::EventMeta] = 1000;
+    before[MemCat::AsyncClock] = 1000;
+    MemCatBytes after;  // one category rises while another falls
+    after[MemCat::EventMeta] = 1500;
+    after[MemCat::AsyncClock] = 200;
+
+    // Per-category samples pass through 1500 + 1000, a total the
+    // detector never held.
+    MemStats seq;
+    for (const MemCatBytes &b : {before, after}) {
+        seq.sample(MemCat::EventMeta, b[MemCat::EventMeta]);
+        seq.sample(MemCat::AsyncClock, b[MemCat::AsyncClock]);
+    }
+    EXPECT_EQ(seq.peakTotal(), 2500u);
+
+    MemStats all;
+    all.sampleAll(before);
+    all.sampleAll(after);
+    EXPECT_EQ(all.peakTotal(), 2000u);
+    EXPECT_EQ(all.liveTotal(), 1700u);
+    EXPECT_EQ(all.live(MemCat::AsyncClock), 200u);
+    EXPECT_EQ(all.peak(MemCat::EventMeta), 1500u);
+    EXPECT_EQ(all.peak(MemCat::AsyncClock), 1000u);
+}
+
 TEST(Rng, DeterministicAcrossInstances)
 {
     Rng a(7), b(7);
@@ -172,6 +200,39 @@ TEST(FlatMap, EraseIf)
     m.eraseIf([](std::uint32_t k, int &) { return k % 2 == 0; });
     EXPECT_EQ(m.size(), 50u);
     m.forEach([](std::uint32_t k, int &) { EXPECT_EQ(k % 2, 1u); });
+}
+
+TEST(FlatMap, EraseIfMatchingNothingLeavesStorage)
+{
+    FlatMap<int> m;
+    for (std::uint32_t i = 0; i < 100; ++i)
+        m[i] = static_cast<int>(i);
+    const auto *data = m.data();
+    const std::size_t cap = m.capacity();
+    std::map<std::uint32_t, int> calls;
+    m.eraseIf([&calls](std::uint32_t k, int &) {
+        ++calls[k];
+        return false;
+    });
+    EXPECT_EQ(m.data(), data);
+    EXPECT_EQ(m.capacity(), cap);
+    EXPECT_EQ(m.size(), 100u);
+    ASSERT_EQ(calls.size(), 100u);
+    for (const auto &[k, n] : calls)
+        EXPECT_EQ(n, 1) << "key " << k;
+
+    // A match rebuilds, still visiting every entry once.
+    calls.clear();
+    m.eraseIf([&calls](std::uint32_t k, int &) {
+        ++calls[k];
+        return k == 57;
+    });
+    EXPECT_EQ(m.size(), 99u);
+    EXPECT_EQ(m.find(57), nullptr);
+    EXPECT_EQ(m.capacity(), cap);
+    ASSERT_EQ(calls.size(), 100u);
+    for (const auto &[k, n] : calls)
+        EXPECT_EQ(n, 1) << "key " << k;
 }
 
 TEST(FlatMap, ByteSizeGrows)
