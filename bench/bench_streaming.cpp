@@ -1,16 +1,14 @@
 /**
  * @file
  * Streaming-pipeline benchmark: detector throughput and trace-container
- * footprint across the three TraceSource kinds, plus sharded race
- * checking.
+ * footprint across the three TraceSource kinds.
  *
  * For each selected Table 2 app the harness encodes the generated
- * trace once and then runs AsyncClock four ways — materialized,
- * streaming text, streaming binary, and streaming binary with the race
- * checks fanned out to parallel FastTrack shards — reporting ops/sec,
- * the peak bytes held by the trace container itself (the op vector for
- * the materialized source, fixed decoder state for the streaming
- * ones), and the race count as a cross-check.
+ * trace once and then runs AsyncClock three ways — materialized,
+ * streaming text and streaming binary — reporting ops/sec, the peak
+ * bytes held by the trace container itself (the op vector for the
+ * materialized source, fixed decoder state for the streaming ones),
+ * and the race count as a cross-check.
  *
  * Shape to check: the streaming sources' container footprint is O(1)
  * in the op count (a few hundred bytes vs megabytes materialized) at a
@@ -18,8 +16,8 @@
  * and every mode reports the identical number of races.
  *
  * With --metrics-out=PATH every mode run additionally attaches a
- * MetricsRegistry (detector counters, shard queue stats, per-category
- * memory) and the harness writes one JSON document with the per-run
+ * MetricsRegistry (detector counters, per-category memory) and the
+ * harness writes one JSON document with the per-run
  * snapshots. The default run attaches nothing — the observability
  * hooks must stay invisible in the numbers this bench exists to
  * measure.
@@ -29,14 +27,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "obs/obs.hh"
-#include "report/sharded.hh"
+#include "report/fasttrack.hh"
 #include "support/format.hh"
 #include "support/json.hh"
 #include "trace/trace_io.hh"
@@ -55,28 +52,19 @@ struct ModeResult
     std::string metricsJson;  ///< only with --metrics-out
 };
 
-/** One timed AsyncClock pass over @p src; @p shards == 0 checks
- * sequentially. Polls the source's container footprint as it runs.
- * @p withMetrics attaches a registry and snapshots it into the
- * result (adds measurable work — off for the headline numbers). */
+/** One timed AsyncClock pass over @p src. Polls the source's
+ * container footprint as it runs. @p withMetrics attaches a registry
+ * and snapshots it into the result (adds measurable work — off for
+ * the headline numbers). */
 ModeResult
-runMode(trace::TraceSource &src, unsigned shards,
-        bool withMetrics = false)
+runMode(trace::TraceSource &src, bool withMetrics)
 {
     obs::MetricsRegistry registry;
     obs::ObsContext octx;
     if (withMetrics)
         octx.metrics = &registry;
-    std::unique_ptr<report::AccessChecker> checker;
-    if (shards > 0) {
-        report::ShardedConfig cfg;
-        cfg.shards = shards;
-        cfg.obs = octx;
-        checker = std::make_unique<report::ShardedChecker>(cfg);
-    } else {
-        checker = std::make_unique<report::FastTrackChecker>();
-    }
-    core::AsyncClockDetector det(src, *checker);
+    report::FastTrackChecker checker;
+    core::AsyncClockDetector det(src, checker);
     det.attachObs(octx);
     ModeResult out;
     std::uint64_t n = 0;
@@ -86,9 +74,7 @@ runMode(trace::TraceSource &src, unsigned shards,
             out.peakContainer =
                 std::max(out.peakContainer, src.containerBytes());
     }
-    // Drain inside the timed region: the sharded drain is part of the
-    // cost of getting an answer.
-    out.races = checker->races().size();
+    out.races = checker.races().size();
     out.opsPerSec =
         double(n) / std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
@@ -145,28 +131,18 @@ main(int argc, char **argv)
 
         {
             trace::MaterializedSource src(app.trace);
-            record(name, "materialized", runMode(src, 0, withMetrics));
+            record(name, "materialized", runMode(src, withMetrics));
         }
         {
             std::istringstream in(text);
             trace::StreamingTextSource src(in);
-            record(name, "streaming-text",
-                   runMode(src, 0, withMetrics));
+            record(name, "streaming-text", runMode(src, withMetrics));
         }
         {
             std::istringstream in(bin);
             trace::StreamingBinarySource src(in);
             record(name, "streaming-binary",
-                   runMode(src, 0, withMetrics));
-        }
-        for (unsigned shards : {1u, 4u}) {
-            std::istringstream in(bin);
-            trace::StreamingBinarySource src(in);
-            record(name,
-                   strf("streaming + %u shard%s", shards,
-                        shards == 1 ? "" : "s")
-                       .c_str(),
-                   runMode(src, shards, withMetrics));
+                   runMode(src, withMetrics));
         }
         std::printf("\n");
     }

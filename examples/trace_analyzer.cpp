@@ -12,7 +12,7 @@
  *                  [--model=looper|async]
  *                  [--window-ms=N] [--chains=fifo|greedy]
  *                  [--no-reclaim] [--all-races]
- *                  [--streaming] [--shards=N]
+ *                  [--streaming]
  *                  [--progress[=N]] [--trace-out=PATH]
  *                  [--metrics-out=PATH]
  *
@@ -26,8 +26,7 @@
  * assertion (a mismatch is an error), not an override — running the
  * looper rules over a task graph would be meaningless. --streaming
  * feeds the detector from the file without materializing the op
- * vector (O(1) trace memory); --shards=N fans the race checks out to
- * N parallel FastTrack shards.
+ * vector (O(1) trace memory).
  *
  * Observability (all off by default, near-zero cost when off):
  * --progress prints a heartbeat line to stderr every N ops (default
@@ -37,14 +36,14 @@
  * scrapes the live run over HTTP (/metrics in Prometheus text
  * format, /metrics.json, /healthz, /progress); --events-out writes a
  * structured JSONL log of run lifecycle events (checkpoints,
- * degradation-ladder rungs, watchdogs, decode skips);
+ * degradation-ladder rungs, decode skips);
  * --phase-timing attributes per-op cost to decode / model-apply /
  * clock-join / race-check / GC-sweep phases.
  *
  * Example:
  *   ./build/examples/trace_analyzer gen Firefox /tmp/firefox.trace 0.02
  *   ./build/examples/trace_analyzer analyze /tmp/firefox.trace \
- *       --streaming --shards=4
+ *       --streaming
  */
 
 #include <chrono>
@@ -52,6 +51,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -73,7 +73,6 @@
 #include "report/export.hh"
 #include "report/fasttrack.hh"
 #include "report/races.hh"
-#include "report/sharded.hh"
 #include "support/format.hh"
 #include "support/signal.hh"
 #include "trace/fault.hh"
@@ -113,7 +112,6 @@ usage()
         "                   commutativity filters\n"
         "  --streaming      stream the trace from the file instead\n"
         "                   of materializing the operation vector\n"
-        "  --shards=N       check races on N parallel shards\n"
         "  --json           print the report as JSON (materialized\n"
         "                   mode only)\n"
         "  --verify[=N]     replay-verify candidate races (at most N\n"
@@ -142,8 +140,8 @@ usage()
         "  --serve-linger-ms=N  keep the telemetry server up N ms\n"
         "                   after the run finishes (default 0)\n"
         "  --events-out=PATH  write structured lifecycle events\n"
-        "                   (checkpoints, pressure rungs, watchdogs,\n"
-        "                   decode skips) as JSON lines\n"
+        "                   (checkpoints, pressure rungs, decode\n"
+        "                   skips) as JSON lines\n"
         "  --phase-timing   attribute per-op cost to decode /\n"
         "                   model-apply / clock-join / race-check /\n"
         "                   gc-sweep phases (table at end of run;\n"
@@ -158,8 +156,6 @@ usage()
         "                   (default 1000000)\n"
         "  --resume         resume from --checkpoint PATH\n"
         "  --report-out=PATH      also write the race report to PATH\n"
-        "  --watchdog-ms=N  sharded stall watchdog (default 30000,\n"
-        "                   0 = off)\n"
         "  --inject=SPEC    deterministic fault injection;\n"
         "                   SPEC is comma-separated key=value:\n"
         "%s"
@@ -195,21 +191,58 @@ usage()
     return 2;
 }
 
-/** Parse a byte count with an optional K/M/G suffix. */
-std::uint64_t
-parseBytes(const char *s)
+/** Report @p arg ("--flag=VALUE") as a usage error; always false. */
+bool
+badValue(const char *cmd, const std::string &arg)
 {
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(s, &end, 10);
-    if (end) {
-        if (*end == 'K' || *end == 'k')
-            v <<= 10;
-        else if (*end == 'M' || *end == 'm')
-            v <<= 20;
-        else if (*end == 'G' || *end == 'g')
-            v <<= 30;
+    std::size_t eq = arg.find('=');
+    std::fprintf(stderr, "%s: bad value '%s' for %s\n", cmd,
+                 arg.c_str() + eq + 1, arg.substr(0, eq).c_str());
+    return false;
+}
+
+/**
+ * Parse the VALUE of @p arg ("--flag=VALUE") into @p out: decimal
+ * digits only, no larger than @p max. A bad value is a usage error
+ * (printed; false), never a silent default.
+ */
+template <typename T>
+bool
+numberFlag(const char *cmd, const std::string &arg, T &out,
+           std::uint64_t max = std::numeric_limits<T>::max())
+{
+    std::uint64_t v = 0;
+    if (!parseU64(arg.substr(arg.find('=') + 1), v) || v > max)
+        return badValue(cmd, arg);
+    out = static_cast<T>(v);
+    return true;
+}
+
+/** Parse a byte count: digits plus at most one K/M/G suffix. */
+bool
+parseBytes(std::string text, std::uint64_t &out)
+{
+    unsigned shift = 0;
+    switch (text.empty() ? '\0' : text.back()) {
+      case 'K': case 'k': shift = 10; break;
+      case 'M': case 'm': shift = 20; break;
+      case 'G': case 'g': shift = 30; break;
     }
-    return v;
+    if (shift > 0)
+        text.pop_back();
+    std::uint64_t v = 0;
+    if (!parseU64(text, v) || v > (UINT64_MAX >> shift))
+        return false;
+    out = v << shift;
+    return true;
+}
+
+/** numberFlag() for a parseBytes() value. */
+bool
+bytesFlag(const char *cmd, const std::string &arg, std::uint64_t &out)
+{
+    return parseBytes(arg.substr(arg.find('=') + 1), out) ||
+           badValue(cmd, arg);
 }
 
 /** Write @p data to @p path, fatal() on failure. */
@@ -348,10 +381,8 @@ cmdAnalyze(int argc, char **argv)
     std::uint32_t predictMaxClasses = 0;
     std::uint32_t predictWindow = 64;
     std::uint32_t predictMaxCandidates = 256;
-    unsigned shards = 0;
     std::uint64_t progressEvery = 0;
     std::uint64_t checkpointEvery = 1000000;
-    std::uint64_t watchdogMs = 30000;
     int servePort = -1;  // -1 = off; 0 = kernel-assigned
     std::uint64_t serveLingerMs = 0;
     std::string traceOut;
@@ -361,8 +392,10 @@ cmdAnalyze(int argc, char **argv)
     std::string reportOut;
     std::string injectSpec;
     trace::SourceErrorPolicy policy;
+    constexpr const char *kCmd = "analyze";
     for (int i = 3; i < argc; ++i) {
         std::string arg = argv[i];
+        bool ok = true;
         if (arg.rfind("--detector=", 0) == 0) {
             detectorName = arg.substr(11);
         } else if (arg.rfind("--model=", 0) == 0) {
@@ -376,7 +409,7 @@ cmdAnalyze(int argc, char **argv)
                 return 2;
             }
         } else if (arg.rfind("--window-ms=", 0) == 0) {
-            cfg.windowMs = std::strtoull(arg.c_str() + 12, nullptr, 10);
+            ok = numberFlag(kCmd, arg, cfg.windowMs);
         } else if (arg == "--chains=greedy") {
             cfg.chainMode = core::ChainMode::Greedy;
         } else if (arg == "--chains=fifo") {
@@ -389,72 +422,52 @@ cmdAnalyze(int argc, char **argv)
             filters.commutativityFilter = false;
         } else if (arg == "--streaming") {
             streaming = true;
-        } else if (arg.rfind("--shards=", 0) == 0) {
-            shards = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 9, nullptr, 10));
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--verify") {
             verify = true;
         } else if (arg.rfind("--verify=", 0) == 0) {
             verify = true;
-            verifyMaxClasses = static_cast<std::uint32_t>(
-                std::strtoul(arg.c_str() + 9, nullptr, 10));
+            ok = numberFlag(kCmd, arg, verifyMaxClasses);
         } else if (arg.rfind("--verify-max-ops=", 0) == 0) {
-            verifyMaxOps = static_cast<std::uint32_t>(
-                std::strtoul(arg.c_str() + 17, nullptr, 10));
+            ok = numberFlag(kCmd, arg, verifyMaxOps);
         } else if (arg == "--predict") {
             predict = true;
         } else if (arg.rfind("--predict=", 0) == 0) {
             predict = true;
-            predictMaxClasses = static_cast<std::uint32_t>(
-                std::strtoul(arg.c_str() + 10, nullptr, 10));
+            ok = numberFlag(kCmd, arg, predictMaxClasses);
         } else if (arg.rfind("--predict-window=", 0) == 0) {
-            predictWindow = static_cast<std::uint32_t>(
-                std::strtoul(arg.c_str() + 17, nullptr, 10));
+            ok = numberFlag(kCmd, arg, predictWindow);
         } else if (arg.rfind("--predict-max-candidates=", 0) == 0) {
-            predictMaxCandidates = static_cast<std::uint32_t>(
-                std::strtoul(arg.c_str() + 25, nullptr, 10));
+            ok = numberFlag(kCmd, arg, predictMaxCandidates);
         } else if (arg == "--progress") {
             progressEvery = 100000;
         } else if (arg.rfind("--progress=", 0) == 0) {
-            progressEvery =
-                std::strtoull(arg.c_str() + 11, nullptr, 10);
+            ok = numberFlag(kCmd, arg, progressEvery);
         } else if (arg.rfind("--trace-out=", 0) == 0) {
             traceOut = arg.substr(12);
         } else if (arg.rfind("--metrics-out=", 0) == 0) {
             metricsOut = arg.substr(14);
         } else if (arg.rfind("--serve=", 0) == 0) {
-            servePort = static_cast<int>(
-                std::strtol(arg.c_str() + 8, nullptr, 10));
-            if (servePort < 0 || servePort > 65535) {
-                std::fprintf(stderr, "--serve: bad port '%s'\n",
-                             arg.c_str() + 8);
-                return 2;
-            }
+            ok = numberFlag(kCmd, arg, servePort, 65535);
         } else if (arg.rfind("--serve-linger-ms=", 0) == 0) {
-            serveLingerMs =
-                std::strtoull(arg.c_str() + 18, nullptr, 10);
+            ok = numberFlag(kCmd, arg, serveLingerMs);
         } else if (arg.rfind("--events-out=", 0) == 0) {
             eventsOut = arg.substr(13);
         } else if (arg == "--phase-timing") {
             cfg.phaseTiming = true;
         } else if (arg.rfind("--max-record-errors=", 0) == 0) {
-            policy.maxRecordErrors =
-                std::strtoull(arg.c_str() + 20, nullptr, 10);
+            ok = numberFlag(kCmd, arg, policy.maxRecordErrors);
         } else if (arg.rfind("--mem-budget=", 0) == 0) {
-            cfg.memBudgetBytes = parseBytes(arg.c_str() + 13);
+            ok = bytesFlag(kCmd, arg, cfg.memBudgetBytes);
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             checkpointPath = arg.substr(13);
         } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-            checkpointEvery =
-                std::strtoull(arg.c_str() + 19, nullptr, 10);
+            ok = numberFlag(kCmd, arg, checkpointEvery);
         } else if (arg == "--resume") {
             resume = true;
         } else if (arg.rfind("--report-out=", 0) == 0) {
             reportOut = arg.substr(13);
-        } else if (arg.rfind("--watchdog-ms=", 0) == 0) {
-            watchdogMs = std::strtoull(arg.c_str() + 14, nullptr, 10);
         } else if (arg.rfind("--inject=", 0) == 0) {
             injectSpec = arg.substr(9);
         } else {
@@ -462,6 +475,8 @@ cmdAnalyze(int argc, char **argv)
                          arg.c_str());
             return usage();
         }
+        if (!ok)
+            return 2;
     }
     if (json && streaming) {
         std::fprintf(stderr,
@@ -502,19 +517,6 @@ cmdAnalyze(int argc, char **argv)
     if (resume && checkpointPath.empty()) {
         std::fprintf(stderr, "--resume requires --checkpoint=PATH\n");
         return 2;
-    }
-    if (!checkpointPath.empty() && shards > 0) {
-        // Structured refusal, not an abort: per-shard checker state
-        // interleaves schedule-dependently and cannot be snapshotted
-        // into a deterministic resume point.
-        std::fprintf(
-            stderr, "error: %s\n",
-            Status::error(ErrCode::Unsupported,
-                          "checkpoint/resume requires the sequential "
-                          "checker (drop --shards)")
-                .toString()
-                .c_str());
-        return 1;
     }
     if (!checkpointPath.empty() && detectorName != "asyncclock") {
         std::fprintf(
@@ -561,36 +563,14 @@ cmdAnalyze(int argc, char **argv)
         warnTap =
             std::make_unique<obs::WarnTap>(registry, events.get());
 
-    // Checker topology. Three shapes:
-    //  - sharded: parallel FastTrack shards (no checkpoint support);
-    //  - sequential + --checkpoint: FastTrackChecker behind a
-    //    ResumeFilter (the filter counts accesses for snapshots and
-    //    discards replayed ones on resume);
-    //  - plain sequential: bare FastTrackChecker, zero extra layers on
-    //    the clean path.
-    std::unique_ptr<report::ShardedChecker> shardedOwned;
-    std::unique_ptr<report::FastTrackChecker> ftOwned;
+    // Checker topology: a bare FastTrackChecker, zero extra layers on
+    // the clean path; with --checkpoint, behind a ResumeFilter (the
+    // filter counts accesses for snapshots and discards replayed ones
+    // on resume).
+    report::FastTrackChecker fasttrack;
     std::unique_ptr<report::ResumeFilter> filterOwned;
-    report::AccessChecker *checker = nullptr;
-    report::ShardedChecker *sharded = nullptr;
-    report::FastTrackChecker *fasttrack = nullptr;
+    report::AccessChecker *checker = &fasttrack;
     report::ResumeFilter *filter = nullptr;
-    if (shards > 0) {
-        report::ShardedConfig scfg;
-        scfg.shards = shards;
-        scfg.obs = octx;
-        scfg.watchdogMs = watchdogMs;
-        scfg.faults.stallShard = faults.stallShard;
-        scfg.faults.stallMs = faults.shardStallMs;
-        scfg.faults.poisonShard = faults.poisonShard;
-        shardedOwned = std::make_unique<report::ShardedChecker>(scfg);
-        sharded = shardedOwned.get();
-        checker = sharded;
-    } else {
-        ftOwned = std::make_unique<report::FastTrackChecker>();
-        fasttrack = ftOwned.get();
-        checker = fasttrack;
-    }
 
     report::CheckpointMeta identity; // trace size + hash
     bool ckptLoaded = false;
@@ -613,7 +593,7 @@ cmdAnalyze(int argc, char **argv)
             } else {
                 probe.close();
                 auto loaded = report::loadCheckpoint(checkpointPath,
-                                                     *fasttrack);
+                                                     fasttrack);
                 if (!loaded) {
                     std::fprintf(stderr, "error: %s\n",
                                  loaded.status().toString().c_str());
@@ -654,7 +634,7 @@ cmdAnalyze(int argc, char **argv)
             }
         }
         filterOwned =
-            std::make_unique<report::ResumeFilter>(*fasttrack, skip);
+            std::make_unique<report::ResumeFilter>(fasttrack, skip);
         filter = filterOwned.get();
         checker = filter;
     }
@@ -795,8 +775,6 @@ cmdAnalyze(int argc, char **argv)
         s.liveBytes = mem.liveTotal();
         s.peakBytes = mem.peakTotal();
         s.races = checker->racesFound();
-        if (sharded)
-            s.queueDepths = sharded->queueDepths();
         return s;
     };
     std::unique_ptr<obs::SnapshotPublisher> publisher;
@@ -839,7 +817,7 @@ cmdAnalyze(int argc, char **argv)
             meta.opsProcessed = n;
             meta.accessesChecked = filter->accessesSeen();
             if (Status st = report::saveCheckpoint(checkpointPath,
-                                                  meta, *fasttrack);
+                                                  meta, fasttrack);
                 !st) {
                 std::fprintf(stderr, "checkpoint failed: %s\n",
                              st.toString().c_str());
@@ -857,8 +835,6 @@ cmdAnalyze(int argc, char **argv)
         }
     }
     detector->sampleMemory(mem);
-    if (sharded)
-        sharded->drain();
     if (interrupted) {
         // Signal-driven drain: publish the last numbers, stop the
         // listener promptly (self-pipe wakeup, no poll race), and
@@ -895,8 +871,8 @@ cmdAnalyze(int argc, char **argv)
         server->stop();
     }
     // Structured post-mortems, most specific first. None of these
-    // abort: a damaged trace, a blown error budget, or a failed shard
-    // ends the run with a diagnostic and a nonzero exit.
+    // abort: a damaged trace or a blown error budget ends the run
+    // with a diagnostic and a nonzero exit.
     if (streaming && !source->ok()) {
         std::fprintf(stderr, "trace stream failed: %s\n",
                      source->status().toString().c_str());
@@ -907,17 +883,9 @@ cmdAnalyze(int argc, char **argv)
                      acDetector->runStatus().toString().c_str());
         return 1;
     }
-    if (sharded && sharded->failed()) {
-        std::fprintf(stderr, "analysis failed: %s\n",
-                     sharded->failureMessage().c_str());
-        return 1;
-    }
 
-    std::printf("\nanalysis (%s%s, model=%s): %.3fs, "
-                "peak metadata %s\n",
-                detectorName.c_str(),
-                shards > 0 ? strf(", %u shards", shards).c_str() : "",
-                core::modelName(model), elapsed,
+    std::printf("\nanalysis (%s, model=%s): %.3fs, peak metadata %s\n",
+                detectorName.c_str(), core::modelName(model), elapsed,
                 humanBytes(mem.peakTotal()).c_str());
     std::printf("%s", mem.summary().c_str());
     if (cfg.phaseTiming && acDetector && n > 0) {
@@ -1105,39 +1073,32 @@ cmdDaemon(int argc, char **argv, int firstArg, int port)
     daemon::DaemonConfig dcfg;
     dcfg.stateDir = "./asyncclockd-state";
     std::string eventsOut;
+    constexpr const char *kCmd = "daemon";
     for (int i = firstArg; i < argc; ++i) {
         std::string arg = argv[i];
+        bool ok = true;
         if (arg.rfind("--port=", 0) == 0) {
-            port = static_cast<int>(
-                std::strtol(arg.c_str() + 7, nullptr, 10));
+            ok = numberFlag(kCmd, arg, port, 65535);
         } else if (arg.rfind("--state-dir=", 0) == 0) {
             dcfg.stateDir = arg.substr(12);
         } else if (arg.rfind("--workers=", 0) == 0) {
-            dcfg.workers = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 10, nullptr, 10));
+            ok = numberFlag(kCmd, arg, dcfg.workers);
         } else if (arg.rfind("--http-threads=", 0) == 0) {
-            dcfg.httpThreads = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 15, nullptr, 10));
+            ok = numberFlag(kCmd, arg, dcfg.httpThreads);
         } else if (arg.rfind("--max-sessions=", 0) == 0) {
-            dcfg.maxSessions =
-                std::strtoull(arg.c_str() + 15, nullptr, 10);
+            ok = numberFlag(kCmd, arg, dcfg.maxSessions);
         } else if (arg.rfind("--mem-budget=", 0) == 0) {
-            dcfg.memBudgetBytes = parseBytes(arg.c_str() + 13);
+            ok = bytesFlag(kCmd, arg, dcfg.memBudgetBytes);
         } else if (arg.rfind("--idle-timeout-ms=", 0) == 0) {
-            dcfg.idleTimeoutMs =
-                std::strtoull(arg.c_str() + 18, nullptr, 10);
+            ok = numberFlag(kCmd, arg, dcfg.idleTimeoutMs);
         } else if (arg.rfind("--watchdog-ms=", 0) == 0) {
-            dcfg.watchdogMs =
-                std::strtoull(arg.c_str() + 14, nullptr, 10);
+            ok = numberFlag(kCmd, arg, dcfg.watchdogMs);
         } else if (arg.rfind("--queue-chunks=", 0) == 0) {
-            dcfg.queueChunks =
-                std::strtoull(arg.c_str() + 15, nullptr, 10);
+            ok = numberFlag(kCmd, arg, dcfg.queueChunks);
         } else if (arg.rfind("--admission-timeout-ms=", 0) == 0) {
-            dcfg.admissionTimeoutMs =
-                std::strtoull(arg.c_str() + 23, nullptr, 10);
+            ok = numberFlag(kCmd, arg, dcfg.admissionTimeoutMs);
         } else if (arg.rfind("--window-ms=", 0) == 0) {
-            dcfg.detector.windowMs =
-                std::strtoull(arg.c_str() + 12, nullptr, 10);
+            ok = numberFlag(kCmd, arg, dcfg.detector.windowMs);
         } else if (arg == "--all-races") {
             dcfg.filters.userInducedOnly = false;
             dcfg.filters.commutativityFilter = false;
@@ -1160,10 +1121,8 @@ cmdDaemon(int argc, char **argv, int firstArg, int port)
                          arg.c_str());
             return usage();
         }
-    }
-    if (port < 0 || port > 65535) {
-        std::fprintf(stderr, "daemon: bad port %d\n", port);
-        return 2;
+        if (!ok)
+            return 2;
     }
     std::unique_ptr<obs::EventLog> events;
     if (!eventsOut.empty()) {
@@ -1290,15 +1249,16 @@ cmdFeed(int argc, char **argv)
     std::string interleavePath;
     std::string injectSpec;
     bool doFinish = true;
+    constexpr const char *kCmd = "feed";
     for (int i = 3; i < argc; ++i) {
         std::string arg = argv[i];
+        bool ok = true;
         if (arg.rfind("--port=", 0) == 0) {
-            port = static_cast<int>(
-                std::strtol(arg.c_str() + 7, nullptr, 10));
+            ok = numberFlag(kCmd, arg, port, 65535);
         } else if (arg.rfind("--session=", 0) == 0) {
             sessionId = arg.substr(10);
         } else if (arg.rfind("--chunk-bytes=", 0) == 0) {
-            chunkBytes = std::strtoull(arg.c_str() + 14, nullptr, 10);
+            ok = numberFlag(kCmd, arg, chunkBytes);
         } else if (arg.rfind("--report-out=", 0) == 0) {
             reportOut = arg.substr(13);
         } else if (arg.rfind("--interleave-file=", 0) == 0) {
@@ -1312,6 +1272,8 @@ cmdFeed(int argc, char **argv)
                          arg.c_str());
             return usage();
         }
+        if (!ok)
+            return 2;
     }
     if (port <= 0 || sessionId.empty() || chunkBytes == 0) {
         std::fprintf(stderr,
@@ -1502,8 +1464,9 @@ main(int argc, char **argv)
     if (std::strcmp(argv[1], "daemon") == 0)
         return cmdDaemon(argc, argv, 2, 0);
     if (std::strncmp(argv[1], "--daemon=", 9) == 0) {
-        int port = static_cast<int>(
-            std::strtol(argv[1] + 9, nullptr, 10));
+        int port = 0;
+        if (!numberFlag("daemon", argv[1], port, 65535))
+            return 2;
         return cmdDaemon(argc, argv, 2, port);
     }
     if (std::strcmp(argv[1], "feed") == 0)

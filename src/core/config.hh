@@ -52,9 +52,9 @@ struct DetectorConfig
      * Later rungs trade recall for memory exactly like a smaller
      * configured window would; counters record each rung so the
      * report can state the recall impact. Checker bytes are excluded
-     * from the measure: they are access-history driven and (sharded)
-     * asynchronously published, and the ladder must make the same
-     * decisions when a checkpointed run is replayed.
+     * from the measure: they are access-history driven, and the
+     * ladder must make the same decisions when a checkpointed run is
+     * replayed.
      */
     std::uint64_t memBudgetBytes = 0;
 

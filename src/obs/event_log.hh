@@ -4,7 +4,7 @@
  *
  * Long runs emit a small number of *load-bearing* events — a
  * checkpoint was written or resumed, the memory-pressure ladder took
- * a step, a shard watchdog fired, the protocol-violation budget ran
+ * a step, a daemon watchdog fired, the protocol-violation budget ran
  * out, a corrupt record was skipped. Today those are fire-and-forget
  * stderr warnings; the EventLog turns each into one JSON object per
  * line:
@@ -12,8 +12,8 @@
  *   {"seq":3,"ts_us":18231,"sev":"warn","kind":"pressure.shrink",
  *    "op":51200,"msg":"window halved to 60000 ms"}
  *
- * with a monotonic sequence number (total order even when shard
- * threads log concurrently), microseconds since the log was opened,
+ * with a monotonic sequence number (total order even when daemon
+ * worker threads log concurrently), microseconds since the log was opened,
  * the op offset the producer was at, and a severity. Records are
  * flushed per line — the log must survive the crash it is
  * describing.
@@ -55,7 +55,7 @@ class EventLog
 
     /**
      * Append one record. @p kind is a dotted lowercase taxonomy tag
-     * ("checkpoint.saved", "shard.watchdog", ...); @p op is the
+     * ("checkpoint.saved", "daemon.watchdog", ...); @p op is the
      * producer's op offset (0 when not meaningful). Thread-safe;
      * flushes the line before returning.
      */

@@ -7,7 +7,7 @@
  * Producers obtain a metric once (create-or-get by name, under a
  * lock) and then update it lock-free: every update is a single
  * relaxed atomic RMW, so the same metric types serve the
- * single-threaded detector hot path and the sharded checker's worker
+ * single-threaded detector hot path and the daemon's worker
  * threads. Consumers call snapshot() at any time and get a
  * consistent-enough view (each value is read atomically; there is no
  * cross-metric barrier, by design — observability must not serialize
@@ -25,7 +25,7 @@
  * diffable and machine-readable.
  *
  * Metrics may carry *labels* (name{model="async",phase="decode"}) so
- * per-model / per-phase / per-shard series coexist in one registry.
+ * per-model / per-phase / per-state series coexist in one registry.
  * A labeled series is addressed by its canonical series name — base
  * name plus a '{k="v",...}' block with keys sorted — built by
  * seriesName(). Registries that never use labels keep emitting the

@@ -3,7 +3,7 @@
  * The observability context handed through the pipeline.
  *
  * One run owns at most one MetricsRegistry and one Tracer; producers
- * (the detector, the sharded checker, the CLI harness) receive both
+ * (the detector, the verifier, the CLI harness) receive both
  * as nullable pointers bundled in an ObsContext. Null members mean
  * "off": every instrumentation site guards on the pointer, so a
  * default-constructed context is the compile-time-cheap null sink —

@@ -14,22 +14,12 @@ std::string
 ProgressMeter::format(const ProgressSample &sample,
                       double opsPerSec) const
 {
-    std::string line = strf(
+    return strf(
         "[progress] %s ops  %8.0f ops/s  live %s (peak %s)  races %s",
         withCommas(sample.ops).c_str(), opsPerSec,
         humanBytes(sample.liveBytes).c_str(),
         humanBytes(sample.peakBytes).c_str(),
         withCommas(sample.races).c_str());
-    if (!sample.queueDepths.empty()) {
-        line += "  queues [";
-        for (std::size_t i = 0; i < sample.queueDepths.size(); ++i) {
-            if (i)
-                line += ' ';
-            line += strf("%zu", sample.queueDepths[i]);
-        }
-        line += ']';
-    }
-    return line;
 }
 
 void

@@ -5,7 +5,7 @@
  * A multi-million-op run should not be a black box between launch and
  * final report: the ProgressMeter prints a periodic one-line
  * heartbeat — ops/sec since the last beat, live/peak metadata bytes,
- * shard queue depths, races found so far — every N processed ops.
+ * races found so far — every N processed ops.
  * Off by default (everyOps == 0 never fires); the due()/report()
  * split keeps the caller's loop cost to one integer compare per op
  * and lets the caller gather the (possibly expensive) sample only
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 namespace asyncclock::obs {
 
@@ -30,8 +29,6 @@ struct ProgressSample
     std::uint64_t liveBytes = 0;
     std::uint64_t peakBytes = 0;
     std::uint64_t races = 0;
-    /** Per-shard queue depths; empty for sequential checking. */
-    std::vector<std::size_t> queueDepths;
 };
 
 class ProgressMeter

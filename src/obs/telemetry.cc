@@ -65,10 +65,6 @@ TelemetrySnapshot::progressJson() const
     w.field("live_bytes", progress.liveBytes);
     w.field("peak_bytes", progress.peakBytes);
     w.field("races", progress.races);
-    w.key("queue_depths").beginArray();
-    for (std::size_t d : progress.queueDepths)
-        w.value(static_cast<std::uint64_t>(d));
-    w.endArray();
     w.endObject();
     return w.str();
 }

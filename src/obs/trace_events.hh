@@ -3,9 +3,9 @@
  * Span/phase tracing in Chrome trace-event format.
  *
  * A Tracer collects completed spans ("X" phase events) on named
- * tracks — one track per logical thread of the pipeline (the
- * detector/main thread, each ShardedChecker worker) — and serializes
- * them as a Chrome trace-event JSON object loadable in Perfetto or
+ * tracks — the detector/main thread, plus any timeline a producer
+ * registers (the async model's tasks) — and serializes them as a
+ * Chrome trace-event JSON object loadable in Perfetto or
  * chrome://tracing. Timestamps are microseconds since the tracer's
  * construction, taken from the steady clock.
  *
@@ -13,8 +13,8 @@
  * tracing is off, so every instrumentation site costs one predictable
  * branch when disabled and two clock reads plus one mutex-guarded
  * push_back per *span* (not per operation) when enabled. Spans are
- * emitted at coarse granularity — per GC sweep, per shard batch, per
- * block of pumped ops — never per trace operation.
+ * emitted at coarse granularity — per GC sweep, per block of pumped
+ * ops — never per trace operation.
  */
 
 #ifndef ASYNCCLOCK_OBS_TRACE_EVENTS_HH

@@ -78,10 +78,9 @@ class AccessChecker
     virtual const std::vector<RaceReport> &races() const = 0;
 
     /**
-     * Count of races found so far. Unlike races() — which the sharded
-     * checker can only answer by draining its pipeline — this is safe
-     * to poll mid-run from the producer thread, so heartbeats and
-     * gauges use it.
+     * Count of races found so far, polled mid-run by heartbeats and
+     * gauges. Wrapping checkers (ResumeFilter) forward it to the
+     * checker they wrap.
      */
     virtual std::uint64_t racesFound() const
     {

@@ -30,10 +30,6 @@
  * intact. The file is versioned ("ACCP" + version) and carries the
  * trace's size and content hash; resume against a different or
  * modified trace is refused.
- *
- * Not supported: resuming a sharded-checker run (per-shard state
- * interleaving is schedule-dependent; loadCheckpoint callers must use
- * the sequential checker) — the analyzer reports ErrCode::Unsupported.
  */
 
 #ifndef ASYNCCLOCK_REPORT_CHECKPOINT_HH

@@ -79,8 +79,7 @@ RaceAnalyzer::analyze(const std::vector<RaceReport> &races,
             g.sample = race;
         } else if (race < g.sample) {
             // Smallest (prevOp, curOp) pair represents the group, so
-            // the choice does not depend on checker emission order
-            // (the sharded checker merges shards nondeterministically).
+            // the choice does not depend on checker emission order.
             g.sample = race;
         }
         ++g.raceCount;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Bounded MPSC/SPSC queue for the sharded checker pipeline: blocking
- * push with backpressure, blocking pop, close() to drain and stop.
+ * Bounded MPMC queue between the daemon's and the telemetry server's
+ * threads: blocking push with backpressure, timed push for admission
+ * control, blocking pop, close() to drain and stop.
  */
 
 #ifndef ASYNCCLOCK_SUPPORT_BOUNDED_QUEUE_HH
@@ -10,7 +11,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <utility>
@@ -42,8 +42,6 @@ class BoundedQueue
     push(T item)
     {
         std::unique_lock<std::mutex> lock(mu_);
-        if (!closed_ && items_.size() >= capacity_)
-            ++blockedPushes_;
         notFull_.wait(lock, [this] {
             return closed_ || items_.size() < capacity_;
         });
@@ -60,7 +58,7 @@ class BoundedQueue
      * @p item is moved from only when the result is Pushed, so a
      * Timeout caller can retry (or give up) without losing the item.
      * Unlike push(), this can never hang on a stalled consumer — the
-     * sharded checker's watchdog is built on it.
+     * daemon's ingest admission (429 on timeout) is built on it.
      *
      * Close-while-pushing contract: a close() issued while callers
      * are blocked in here wakes every one of them *immediately* (not
@@ -74,8 +72,6 @@ class BoundedQueue
     tryPushFor(T &item, std::chrono::milliseconds timeout)
     {
         std::unique_lock<std::mutex> lock(mu_);
-        if (!closed_ && items_.size() >= capacity_)
-            ++blockedPushes_;
         if (!notFull_.wait_for(lock, timeout, [this] {
                 return closed_ || items_.size() < capacity_;
             })) {
@@ -113,15 +109,6 @@ class BoundedQueue
         return items_.size();
     }
 
-    /** push() calls that found the queue full and had to wait — the
-     * producer-side backpressure stalls that are otherwise silent. */
-    std::uint64_t
-    blockedPushes() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return blockedPushes_;
-    }
-
     /**
      * Stop the queue: pending items remain poppable, new pushes
      * fail. Wakes *all* waiters at once — blocked push()/tryPushFor()
@@ -155,7 +142,6 @@ class BoundedQueue
     std::condition_variable notFull_;
     std::condition_variable notEmpty_;
     std::deque<T> items_;
-    std::uint64_t blockedPushes_ = 0;
     bool closed_ = false;
 };
 

@@ -55,4 +55,22 @@ withCommas(std::uint64_t value)
     return std::string(out.rbegin(), out.rend());
 }
 
+bool
+parseU64(const std::string &text, std::uint64_t &out)
+{
+    if (text.empty())
+        return false;
+    std::uint64_t v = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+        if (v > (UINT64_MAX - digit) / 10)
+            return false;
+        v = v * 10 + digit;
+    }
+    out = v;
+    return true;
+}
+
 } // namespace asyncclock

@@ -1,6 +1,8 @@
 /**
  * @file
- * Tiny printf-style formatting helpers (GCC 12 lacks std::format).
+ * Tiny printf-style formatting helpers (GCC 12 lacks std::format),
+ * and the strict integer parser behind command-line flags and fault
+ * specs.
  */
 
 #ifndef ASYNCCLOCK_SUPPORT_FORMAT_HH
@@ -21,6 +23,13 @@ std::string humanBytes(std::uint64_t bytes);
 
 /** Render a count with thousands separators, e.g. "12,345". */
 std::string withCommas(std::uint64_t value);
+
+/**
+ * Parse @p text as a decimal std::uint64_t into @p out. Digits only:
+ * false (and @p out untouched) for an empty string, a sign, leading
+ * or trailing text, or a value above UINT64_MAX.
+ */
+bool parseU64(const std::string &text, std::uint64_t &out);
 
 } // namespace asyncclock
 

@@ -4,8 +4,8 @@
  *
  * The pipeline's original failure discipline was assert-and-abort:
  * good for catching bugs in the analysis itself, fatal for a service
- * that must survive contact with corrupt traces, wedged shards, and
- * killed runs. Status carries an error category, a human-readable
+ * that must survive contact with corrupt traces, wedged sessions,
+ * and killed runs. Status carries an error category, a human-readable
  * message, and — for decode failures — the byte/line offset of the
  * offending record, so a caller can skip, retry, degrade, or fail the
  * run *cleanly* with a summary instead of taking the process down.

@@ -23,8 +23,6 @@ faultSpecHelp()
            "  dup=RATE          duplicate-op probability\n"
            "  reorder=RATE      swap-with-successor probability\n"
            "  drop=RATE         drop-op probability\n"
-           "  shard-stall=S:MS  shard S's worker sleeps MS ms/batch\n"
-           "  poison=S          shard S's worker dies on first batch\n"
            "  sess-disconnect=N client drops mid-body on chunk N\n"
            "  sess-dup=N        client re-creates its id on chunk N\n"
            "  sess-interleave=N client mixes dialects on chunk N\n";
@@ -38,16 +36,6 @@ parseRate(const std::string &v, double &out)
     char *end = nullptr;
     out = std::strtod(v.c_str(), &end);
     return end && *end == '\0' && out >= 0.0 && out <= 1.0;
-}
-
-bool
-parseU64(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(v.c_str(), &end, 10);
-    return end && *end == '\0';
 }
 
 } // namespace
@@ -106,20 +94,6 @@ parseFaultSpec(const std::string &spec)
         } else if (key == "drop") {
             if (!parseRate(val, cfg.dropRate))
                 return bad();
-        } else if (key == "shard-stall") {
-            std::size_t colon = val.find(':');
-            std::uint64_t shard = 0;
-            if (colon == std::string::npos ||
-                !parseU64(val.substr(0, colon), shard) ||
-                !parseU64(val.substr(colon + 1), cfg.shardStallMs)) {
-                return bad();
-            }
-            cfg.stallShard = static_cast<unsigned>(shard);
-        } else if (key == "poison") {
-            std::uint64_t shard = 0;
-            if (!parseU64(val, shard))
-                return bad();
-            cfg.poisonShard = static_cast<unsigned>(shard);
         } else if (key == "sess-disconnect") {
             if (!parseU64(val, cfg.sessDisconnectAtChunk))
                 return bad();

@@ -14,8 +14,8 @@
  *    TraceSource): duplicated, reordered, and dropped operations —
  *    the things a buggy recorder produces, exercising the detector's
  *    protocol-violation gate;
- *  - shard level (report::ShardFaults in sharded.hh): worker stalls
- *    and poisoned batches, exercising the watchdog.
+ *  - session level (the daemon client): disconnects, duplicate
+ *    creates and interleaved dialects, exercising the daemon.
  *
  * The same FaultConfig drives tests and `trace_analyzer --inject`;
  * parseFaultSpec() turns the CLI's "flip=1e-4,seed=7" syntax into a
@@ -40,8 +40,6 @@ namespace asyncclock::trace {
 /** Which faults to inject, and where. Defaults inject nothing. */
 struct FaultConfig
 {
-    static constexpr unsigned kNoShard = ~0u;
-
     std::uint64_t seed = 1;
 
     // ----- byte level (FaultyStreamBuf) -----------------------------
@@ -63,13 +61,6 @@ struct FaultConfig
     double reorderRate = 0.0;
     /** Probability of dropping an operation. */
     double dropRate = 0.0;
-
-    // ----- shard level (mapped into report::ShardFaults) ------------
-    /** Worker of this shard sleeps shardStallMs per batch. */
-    unsigned stallShard = kNoShard;
-    std::uint64_t shardStallMs = 0;
-    /** Worker of this shard dies on its first batch. */
-    unsigned poisonShard = kNoShard;
 
     // ----- session level (daemon clients; see ci/daemon_soak.sh) ----
     /** Client drops the connection mid-body on this 1-based ingest
@@ -114,8 +105,6 @@ struct FaultConfig
  *   dup=RATE          duplicate-op probability
  *   reorder=RATE      swap-with-successor probability
  *   drop=RATE         drop-op probability
- *   shard-stall=S:MS  shard S's worker sleeps MS ms per batch
- *   poison=S          shard S's worker dies on its first batch
  *   sess-disconnect=N client disconnects mid-body on ingest chunk N
  *   sess-dup=N        client re-creates its session id on chunk N
  *   sess-interleave=N client mixes the other dialect in on chunk N

@@ -86,9 +86,9 @@ TEST(Export, TraceStatsJson)
 
 TEST(Export, ReportOrderIsInputOrderIndependent)
 {
-    // The sharded checker merges races in nondeterministic order; the
-    // exported report must not depend on it. Shuffle the race list
-    // and require byte-identical summary text and JSON.
+    // The exported report must not depend on the order a checker
+    // emits races in. Shuffle the race list and require
+    // byte-identical summary text and JSON.
     workload::AppProfile p;
     p.seed = 31337;
     p.looperEvents = 80;

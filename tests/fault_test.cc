@@ -6,14 +6,11 @@
  * either skips-and-counts within the error budget or ends the run
  * with a structured, offset-carrying status; op-level damage (dups,
  * reorders, drops) is absorbed by the detector's protocol gate up to
- * its budget, then fails structurally; shard-level damage (poisoned
- * worker, stalled worker) trips the sharded checker's watchdog
- * machinery instead of wedging the run.
+ * its budget, then fails structurally.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,7 +20,6 @@
 #include "predict/candidates.hh"
 #include "predict/shb.hh"
 #include "report/fasttrack.hh"
-#include "report/sharded.hh"
 #include "trace/fault.hh"
 #include "trace/trace_io.hh"
 #include "workload/workload.hh"
@@ -52,7 +48,7 @@ TEST(FaultSpec, ParsesEveryKey)
 {
     auto parsed = trace::parseFaultSpec(
         "seed=7,truncate=100,flip=0.5,shortread=0.25,stall=10@4096,"
-        "dup=0.01,reorder=0.02,drop=0.03,shard-stall=1:50,poison=2");
+        "dup=0.01,reorder=0.02,drop=0.03");
     ASSERT_TRUE(parsed);
     const FaultConfig &cfg = parsed.value();
     EXPECT_EQ(cfg.seed, 7u);
@@ -64,9 +60,6 @@ TEST(FaultSpec, ParsesEveryKey)
     EXPECT_DOUBLE_EQ(cfg.dupRate, 0.01);
     EXPECT_DOUBLE_EQ(cfg.reorderRate, 0.02);
     EXPECT_DOUBLE_EQ(cfg.dropRate, 0.03);
-    EXPECT_EQ(cfg.stallShard, 1u);
-    EXPECT_EQ(cfg.shardStallMs, 50u);
-    EXPECT_EQ(cfg.poisonShard, 2u);
     EXPECT_TRUE(cfg.anyByteFaults());
     EXPECT_TRUE(cfg.anyOpFaults());
 }
@@ -98,7 +91,12 @@ TEST(FaultSpec, RejectsMalformedSpecs)
     EXPECT_FALSE(trace::parseFaultSpec("flip=abc"));
     EXPECT_FALSE(trace::parseFaultSpec("unknown=1"));
     EXPECT_FALSE(trace::parseFaultSpec("stall=10"));   // missing @
-    EXPECT_FALSE(trace::parseFaultSpec("shard-stall=1")); // missing :
+    EXPECT_FALSE(trace::parseFaultSpec("shard-stall=1")); // unknown key
+    // Counts are digits only and fit a std::uint64_t.
+    EXPECT_FALSE(trace::parseFaultSpec("seed=-1"));
+    EXPECT_FALSE(trace::parseFaultSpec("truncate=10x"));
+    EXPECT_FALSE(trace::parseFaultSpec("seed=18446744073709551616"));
+    EXPECT_TRUE(trace::parseFaultSpec("seed=18446744073709551615"));
     auto empty = trace::parseFaultSpec("");
     ASSERT_TRUE(empty);
     EXPECT_FALSE(empty.value().anyByteFaults());
@@ -451,93 +449,6 @@ TEST(CorruptionCorpus, PredictSeesNoPhantomCandidates)
         EXPECT_EQ(direct.races()[i].curOp, streamed.races()[i].curOp);
         EXPECT_EQ(direct.races()[i].var, streamed.races()[i].var);
     }
-}
-
-// ----- shard level ----------------------------------------------------
-
-TEST(ShardFaults, PoisonedWorkerFailsRunWithDiagnostics)
-{
-    auto app = workload::generateApp(profile(3, 120));
-    report::ShardedConfig scfg;
-    scfg.shards = 2;
-    scfg.batchOps = 4;  // flush often so the poison triggers early
-    scfg.watchdogMs = 5000;
-    scfg.faults.poisonShard = 0;
-    report::ShardedChecker checker(scfg);
-    core::AsyncClockDetector det(app.trace, checker);
-    det.runAll();
-    checker.drain();
-    EXPECT_TRUE(checker.failed());
-    EXPECT_NE(checker.failureMessage().find("poison"),
-              std::string::npos)
-        << checker.failureMessage();
-}
-
-TEST(ShardFaults, StalledWorkerTripsWatchdogInsteadOfHanging)
-{
-    auto app = workload::generateApp(profile(4, 120));
-    report::ShardedConfig scfg;
-    scfg.shards = 2;
-    scfg.batchOps = 4;
-    scfg.pushTimeoutMs = 10;
-    scfg.watchdogMs = 200;
-    scfg.faults.stallShard = 0;
-    scfg.faults.stallMs = 60000;  // would hang for minutes unwatched
-    report::ShardedChecker checker(scfg);
-    core::AsyncClockDetector det(app.trace, checker);
-    det.runAll();
-    checker.drain();
-    EXPECT_TRUE(checker.failed());
-    EXPECT_NE(checker.failureMessage().find("watchdog"),
-              std::string::npos)
-        << checker.failureMessage();
-}
-
-TEST(ShardFaults, FailedRunDrainsWellUnderWatchdog)
-{
-    // Shard 0's worker stalls on its first batch and its one-slot
-    // queue fills, so the producer's watchdog fails the run with a
-    // batch still queued. The failed run's workers exit without
-    // popping it; drain() must return once they are done instead of
-    // waiting out the watchdog for a queue nobody will empty.
-    auto app = workload::generateApp(profile(4, 120));
-    report::ShardedConfig scfg;
-    scfg.shards = 2;
-    scfg.batchOps = 1;
-    scfg.queueCapacity = 1;
-    scfg.pushTimeoutMs = 10;
-    scfg.watchdogMs = 1000;
-    scfg.faults.stallShard = 0;
-    scfg.faults.stallMs = 60000;
-    report::ShardedChecker checker(scfg);
-    core::AsyncClockDetector det(app.trace, checker);
-    det.runAll();
-    ASSERT_TRUE(checker.failed());
-    const auto start = std::chrono::steady_clock::now();
-    checker.drain();
-    const auto drainMs =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    EXPECT_LT(drainMs, 500) << "drain waited for batches a failed "
-                                "run never pops";
-    EXPECT_NE(checker.failureMessage().find("accepted no batch"),
-              std::string::npos)
-        << checker.failureMessage();
-}
-
-TEST(ShardFaults, CleanShardedRunDoesNotTripWatchdog)
-{
-    auto app = workload::generateApp(profile(5, 120));
-    report::ShardedConfig scfg;
-    scfg.shards = 4;
-    scfg.watchdogMs = 30000;
-    report::ShardedChecker checker(scfg);
-    core::AsyncClockDetector det(app.trace, checker);
-    det.runAll();
-    checker.drain();
-    EXPECT_FALSE(checker.failed());
-    EXPECT_TRUE(checker.failureMessage().empty());
 }
 
 } // namespace

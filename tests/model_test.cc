@@ -2,9 +2,8 @@
  * @file
  * The model/mechanism seam, exercised from the async side: model
  * selection helpers, AsyncTaskModel recall against the
- * model-parameterized gold closure, sharded checking over async
- * traces, and checkpoint/resume identity for an async run (including
- * the v3 model tag's mismatch refusal).
+ * model-parameterized gold closure, and checkpoint/resume identity
+ * for an async run (including the v3 model tag's mismatch refusal).
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "gold/closure.hh"
 #include "report/checkpoint.hh"
 #include "report/fasttrack.hh"
-#include "report/sharded.hh"
 #include "workload/async_workload.hh"
 
 namespace asyncclock {
@@ -121,34 +119,9 @@ TEST(AsyncModel, SeededRacesFoundAndConfinedVarsQuiet)
 }
 
 // ---------------------------------------------------------------
-// The mechanism underneath is shared: sharded checking and
-// checkpoint/resume must work unchanged for the async model.
+// The mechanism underneath is shared: checkpoint/resume must work
+// unchanged for the async model.
 // ---------------------------------------------------------------
-
-TEST(AsyncModel, ShardedCheckerMatchesSequential)
-{
-    workload::GeneratedAsyncApp app = workload::generateAsyncApp(
-        workload::asyncProfileByName("AsyncTree"));
-
-    report::FastTrackChecker seq;
-    DetectorEngine e1(ModelKind::Async, app.trace, seq, {});
-    e1.runAll();
-
-    for (unsigned shards : {2u, 5u}) {
-        report::ShardedConfig scfg;
-        scfg.shards = shards;
-        report::ShardedChecker sharded(scfg);
-        DetectorEngine e2(ModelKind::Async, app.trace, sharded, {});
-        e2.runAll();
-        const auto &got = sharded.races();  // drains
-        ASSERT_EQ(got.size(), seq.races().size()) << shards;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].prevOp, seq.races()[i].prevOp);
-            EXPECT_EQ(got[i].curOp, seq.races()[i].curOp);
-            EXPECT_EQ(got[i].var, seq.races()[i].var);
-        }
-    }
-}
 
 TEST(AsyncModel, ResumeIdenticalToUninterruptedRun)
 {

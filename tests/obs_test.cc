@@ -4,8 +4,8 @@
  * concurrent hot-path updates — run under TSan in CI), the stable
  * metrics JSON schema (golden string), Chrome trace-event output
  * well-formedness, the progress heartbeat layout, rate-limited
- * warnings, the MemStats underflow guard, and the ShardedChecker's
- * obs hookup end to end.
+ * warnings, the MemStats underflow guard, and the detector's obs
+ * hookup end to end.
  */
 
 #include <gtest/gtest.h>
@@ -19,14 +19,12 @@
 #include <thread>
 #include <vector>
 
-#include "clock/vector_clock.hh"
 #include "core/detector.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/progress.hh"
 #include "obs/trace_events.hh"
 #include "report/fasttrack.hh"
-#include "report/sharded.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
 #include "workload/workload.hh"
@@ -375,16 +373,12 @@ TEST(Progress, DueAndFormat)
     s.liveBytes = 1 << 20;
     s.peakBytes = 2 << 20;
     s.races = 3;
-    s.queueDepths = {4, 0, 7};
     std::string line = meter.format(s, 12345.0);
     EXPECT_NE(line.find("[progress]"), std::string::npos);
     EXPECT_NE(line.find("50,000 ops"), std::string::npos);
     EXPECT_NE(line.find("ops/s"), std::string::npos);
+    EXPECT_NE(line.find("live 1.0MB (peak 2.0MB)"), std::string::npos);
     EXPECT_NE(line.find("races 3"), std::string::npos);
-    EXPECT_NE(line.find("queues [4 0 7]"), std::string::npos);
-
-    s.queueDepths.clear();
-    EXPECT_EQ(meter.format(s, 1.0).find("queues"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -421,79 +415,6 @@ TEST(ObsDeathTest, MemStatsReleaseUnderflowPanics)
     mem.alloc(MemCat::Other, 8);
     EXPECT_DEATH(mem.release(MemCat::Other, 9),
                  "MemStats release underflow");
-}
-
-// ---------------------------------------------------------------------
-// ShardedChecker observability hookup
-
-TEST(ShardedObs, MetricsAndSpansEndToEnd)
-{
-    obs::MetricsRegistry registry;
-    obs::Tracer tracer;
-
-    report::ShardedConfig cfg;
-    cfg.shards = 2;
-    cfg.batchOps = 4;  // force several batches
-    cfg.obs = obs::ObsContext{&registry, &tracer};
-    report::ShardedChecker checker(cfg);
-
-    // Two unordered writes per variable -> one race per variable.
-    for (std::uint32_t var = 0; var < 8; ++var) {
-        for (std::uint32_t chain = 0; chain < 2; ++chain) {
-            report::Access a;
-            a.op = var * 2 + chain;
-            a.epoch = {chain, 1};
-            a.isWrite = true;
-            clock::VectorClock vc;
-            vc.raise(chain, 1);
-            checker.onAccess(var, a, vc);
-        }
-    }
-    checker.drain();
-    EXPECT_EQ(checker.races().size(), 8u);
-    EXPECT_EQ(checker.racesFound(), 8u);
-
-    obs::MetricsSnapshot snap = registry.snapshot();
-    auto counter = [&](const std::string &name) -> std::uint64_t {
-        for (const auto &[n, v] : snap.counters)
-            if (n == name)
-                return v;
-        ADD_FAILURE() << "counter not found: " << name;
-        return 0;
-    };
-    EXPECT_EQ(counter("sharded.races_found"), 8u);
-    counter("sharded.enqueue_blocked");  // must exist (any value)
-    bool sawShardGauge = false, sawShardCount = false;
-    for (const auto &[n, v] : snap.gauges) {
-        if (n == obs::seriesName("sharded.queue_depth",
-                                 {{"shard", "0"}}))
-            sawShardGauge = true;
-        if (n == "sharded.shards") {
-            sawShardCount = true;
-            EXPECT_EQ(v, 2);
-        }
-    }
-    EXPECT_TRUE(sawShardGauge);
-    EXPECT_TRUE(sawShardCount);
-    ASSERT_EQ(snap.histograms.size(), 1u);
-    EXPECT_EQ(snap.histograms[0].name, "sharded.batch_check_us");
-    EXPECT_GE(snap.histograms[0].count, 1u);
-
-    // Every shard worker got its own track and emitted batch spans.
-    bool sawBatchSpan = false, sawDrainSpan = false;
-    for (const auto &ev : tracer.events()) {
-        if (ev.ph == 'X' && ev.name == "check_batch") {
-            EXPECT_GT(ev.tid, 0);
-            sawBatchSpan = true;
-        }
-        if (ev.ph == 'X' && ev.name == "shard_drain") {
-            EXPECT_EQ(ev.tid, obs::kMainTrack);
-            sawDrainSpan = true;
-        }
-    }
-    EXPECT_TRUE(sawBatchSpan);
-    EXPECT_TRUE(sawDrainSpan);
-    EXPECT_TRUE(validJson(tracer.toJson()));
 }
 
 // ---------------------------------------------------------------------

@@ -2,16 +2,22 @@
 #
 # CTest's PASS_REGULAR_EXPRESSION ignores the process exit code, so a
 # crashing binary whose partial output happens to match would pass. A
-# script driver enforces both: exit code 0 AND output matching
-# SMOKE_PATTERN.
+# script driver enforces both: exit code SMOKE_EXIT (default 0) AND
+# output matching SMOKE_PATTERN. A run expected to succeed must print
+# the pattern on stdout; one expected to fail, on stderr, where the
+# tools write their errors.
 #
 # Usage (from add_test):
 #   cmake -DSMOKE_BINARY=<path> -DSMOKE_PATTERN=<regex>
-#         [-DSMOKE_ARGS=<arg;list>] -P run_smoke.cmake
+#         [-DSMOKE_ARGS=<arg;list>] [-DSMOKE_EXIT=<code>]
+#         -P run_smoke.cmake
 
 if(NOT DEFINED SMOKE_BINARY OR NOT DEFINED SMOKE_PATTERN)
     message(FATAL_ERROR
             "run_smoke.cmake requires -DSMOKE_BINARY and -DSMOKE_PATTERN")
+endif()
+if(NOT DEFINED SMOKE_EXIT)
+    set(SMOKE_EXIT 0)
 endif()
 
 execute_process(
@@ -21,13 +27,18 @@ execute_process(
     RESULT_VARIABLE rc
 )
 
-if(NOT rc EQUAL 0)
+if(NOT rc EQUAL SMOKE_EXIT)
     message(FATAL_ERROR
-            "${SMOKE_BINARY} exited with '${rc}'\n"
+            "${SMOKE_BINARY} exited with '${rc}', want ${SMOKE_EXIT}\n"
             "stdout:\n${out}\nstderr:\n${err}")
 endif()
 
-if(NOT out MATCHES "${SMOKE_PATTERN}")
+if(SMOKE_EXIT EQUAL 0)
+    set(checked "${out}")
+else()
+    set(checked "${err}")
+endif()
+if(NOT checked MATCHES "${SMOKE_PATTERN}")
     message(FATAL_ERROR
             "${SMOKE_BINARY} output does not match '${SMOKE_PATTERN}'\n"
             "stdout:\n${out}\nstderr:\n${err}")

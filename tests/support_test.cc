@@ -321,7 +321,6 @@ TEST(BoundedQueue, TryPushForTimesOutOnFullQueueAndKeepsItem)
     // Timeout must leave the item with the caller for a retry.
     EXPECT_EQ(second, "second");
     EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.blockedPushes(), 1u);
 }
 
 TEST(BoundedQueue, TryPushForSeesClose)
