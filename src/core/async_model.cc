@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/format.hh"
-#include "support/logging.hh"
 
 namespace asyncclock::core {
 
@@ -106,7 +105,7 @@ AsyncTaskModel::joinWindowFloor(VectorClock &vc)
     }
 }
 
-bool
+const char *
 AsyncTaskModel::admitOp(const Operation &op)
 {
     const char *why = nullptr;
@@ -154,26 +153,8 @@ AsyncTaskModel::admitOp(const Operation &op)
                  op.kind == OpKind::RemoveEvent)) {
         why = "looper-dialect op in an async trace";
     }
-    if (why) {
-        ++counters_.invalidOpsDropped;
-        warnRateLimited(
-            "detector.invalid_op",
-            strf("dropping protocol-invalid op at index %llu: %s",
-                 static_cast<unsigned long long>(
-                     engine_.opsProcessed()),
-                 why));
-        if (counters_.invalidOpsDropped > cfg_.maxInvalidOps) {
-            engine_.failRun(Status::error(
-                ErrCode::BudgetExceeded,
-                strf("invalid-op budget exhausted after %llu dropped "
-                     "operations; last: %s",
-                     static_cast<unsigned long long>(
-                         counters_.invalidOpsDropped),
-                     why),
-                engine_.opsProcessed()));
-        }
-        return false;
-    }
+    if (why)
+        return why;
     switch (op.kind) {
       case OpKind::ThreadBegin:
         threadPhase_[op.task.index()] =
@@ -202,7 +183,7 @@ AsyncTaskModel::admitOp(const Operation &op)
       default:
         break;
     }
-    return true;
+    return nullptr;
 }
 
 void
@@ -436,20 +417,16 @@ AsyncTaskModel::settleTask(EventId task, HandleId scope,
         settled_.emplace_back(vtime, task);
 }
 
-void
+bool
 AsyncTaskModel::ageWindow(std::uint64_t now)
 {
+    bool aged = false;
     while (!settled_.empty() &&
            settled_.front().first + cfg_.windowMs < now) {
         ageOneSettled();
+        aged = true;
     }
-}
-
-void
-AsyncTaskModel::drainSettledWindow()
-{
-    while (!settled_.empty())
-        ageOneSettled();
+    return aged;
 }
 
 void
@@ -489,53 +466,6 @@ AsyncTaskModel::gcSweep()
                 chains_[c].vc.clear();
             }
         }
-    }
-}
-
-void
-AsyncTaskModel::relieveMemoryPressure(std::uint64_t now)
-{
-    if (modelBytes() <= cfg_.memBudgetBytes)
-        return;
-
-    obs::EventLog *events = engine_.events();
-
-    gcSweep();
-    ++counters_.pressureGcSweeps;
-    if (events)
-        events->log(obs::EventLog::Severity::Info, "pressure.sweep",
-                    strf("aggressive sweep; %llu bytes live",
-                         static_cast<unsigned long long>(
-                             modelBytes())),
-                    engine_.opsProcessed());
-    if (modelBytes() <= cfg_.memBudgetBytes)
-        return;
-
-    while (cfg_.windowMs > cfg_.minWindowMs) {
-        cfg_.windowMs = std::max(cfg_.windowMs / 2, cfg_.minWindowMs);
-        ageWindow(now);
-        ++counters_.pressureWindowShrinks;
-        if (events)
-            events->log(obs::EventLog::Severity::Warn,
-                        "pressure.shrink",
-                        strf("window halved to %llu ms",
-                             static_cast<unsigned long long>(
-                                 cfg_.windowMs)),
-                        engine_.opsProcessed());
-        if (modelBytes() <= cfg_.memBudgetBytes)
-            return;
-    }
-
-    if (cfg_.windowMs > 0 && !settled_.empty()) {
-        drainSettledWindow();
-        gcSweep();
-        ++counters_.pressureInvalidations;
-        if (events)
-            events->log(obs::EventLog::Severity::Warn,
-                        "pressure.invalidate",
-                        "every settled task invalidated into the "
-                        "window clock",
-                        engine_.opsProcessed());
     }
 }
 

@@ -26,8 +26,8 @@
  * Scalability mirrors the looper model in miniature: settled tasks
  * older than the time window fold into a single window clock (version
  * epoch on a marker chain, so repeat joins are skipped), their chains
- * are recycled, and the memory-pressure ladder reuses the engine's
- * GC cadence.
+ * are recycled, and the engine's memory-pressure ladder drives the
+ * same aging and sweep hooks (gcSweep() is its first rung).
  */
 
 #ifndef ASYNCCLOCK_CORE_ASYNC_MODEL_HH
@@ -52,11 +52,10 @@ class AsyncTaskModel : public CausalityModel
 
     ModelKind kind() const override { return ModelKind::Async; }
     void syncEntities() override;
-    bool admitOp(const trace::Operation &op) override;
+    const char *admitOp(const trace::Operation &op) override;
     void applyOp(const trace::Operation &op, trace::OpId id) override;
-    void ageWindow(std::uint64_t now) override;
+    bool ageWindow(std::uint64_t now) override;
     void gcSweep() override;
-    void relieveMemoryPressure(std::uint64_t now) override;
     void syncDerivedCounters() override;
     std::uint32_t numChains() const override
     {
@@ -127,12 +126,11 @@ class AsyncTaskModel : public CausalityModel
                     std::uint64_t vtime);
     /** Fold the oldest settled task into the window clock. */
     void ageOneSettled();
-    void drainSettledWindow();
 
     DetectorEngine &engine_;
     /** Engine-owned services (see looper_model.hh). */
     report::AccessChecker &checker_;
-    DetectorConfig &cfg_;
+    const DetectorConfig &cfg_;
     DetectorCounters &counters_;
 
     std::vector<Chain> chains_;

@@ -1,6 +1,10 @@
 #include "core/engine.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "support/format.hh"
+#include "support/logging.hh"
 
 namespace asyncclock::core {
 
@@ -28,7 +32,7 @@ DetectorEngine::DetectorEngine(ModelKind model, trace::TraceSource &src,
     gcIntervalEff_ = (cfg_.memBudgetBytes > 0 && cfg_.gcIntervalOps > 512)
                          ? 512
                          : cfg_.gcIntervalOps;
-    timing_ = cfg_.phaseTiming;
+    ledger_ = timing_ = cfg_.phaseTiming;
     model_ = makeModel(model, *this);
     model_->syncEntities();
 }
@@ -36,133 +40,107 @@ DetectorEngine::DetectorEngine(ModelKind model, trace::TraceSource &src,
 DetectorEngine::DetectorEngine(ModelKind model, const trace::Trace &tr,
                                report::AccessChecker &checker,
                                DetectorConfig cfg)
-    : owned_(std::make_unique<trace::MaterializedSource>(tr)),
-      source_(owned_.get()), checker_(checker), cfg_(cfg)
+    : DetectorEngine(model, *new trace::MaterializedSource(tr), checker,
+                     cfg)
 {
-    gcIntervalEff_ = (cfg_.memBudgetBytes > 0 && cfg_.gcIntervalOps > 512)
-                         ? 512
-                         : cfg_.gcIntervalOps;
-    timing_ = cfg_.phaseTiming;
-    model_ = makeModel(model, *this);
-    model_->syncEntities();
+    owned_.reset(source_);
 }
 
 DetectorEngine::~DetectorEngine() = default;
 
-void
-DetectorEngine::flushPumpSpan()
-{
-    if (pumpOps_ == 0)
-        return;
-    obs_.tracer->span(
-        obs::kMainTrack, "pump", pumpStartUs_, obs_.tracer->nowUs(),
-        strf("{\"ops\":%llu,\"decode_us\":%llu,\"resolve_us\":%llu}",
-             static_cast<unsigned long long>(pumpOps_),
-             static_cast<unsigned long long>(pumpDecodeUs_),
-             static_cast<unsigned long long>(pumpResolveUs_)));
-    pumpOps_ = 0;
-    pumpDecodeUs_ = 0;
-    pumpResolveUs_ = 0;
-}
-
 bool
 DetectorEngine::processNext()
 {
+    // The one pump. With the ledger on it stamps the steady clock
+    // before the pull, after the pull and after the op; every other
+    // run pays one predicted branch per stamp.
     if (!runStatus_.isOk()) [[unlikely]]
-        return false;
-    if (timing_) [[unlikely]]
-        return processNextTimed();
-    if (obs_.tracer) [[unlikely]]
-        return processNextTraced();
+        return flushPumpSpan();
+    SteadyClock::time_point t0, t1;
+    if (ledger_) [[unlikely]]
+        t0 = SteadyClock::now();
     Operation op;
     if (!source_->next(op))
-        return false;
+        return flushPumpSpan();
+    if (ledger_) [[unlikely]]
+        t1 = SteadyClock::now();
     model_->syncEntities();
     processOp(op, static_cast<OpId>(cursor_));
     ++cursor_;
+    if (ledger_) [[unlikely]]
+        bookOp(t0, t1, SteadyClock::now());
     return true;
 }
 
-bool
-DetectorEngine::processNextTraced()
+void
+DetectorEngine::bookOp(SteadyClock::time_point t0,
+                       SteadyClock::time_point t1,
+                       SteadyClock::time_point t2)
 {
-    // Traced pump: split the per-op cost into decode (pulling from
-    // the source) and resolve (the causality machinery), aggregated
-    // into one span per kPumpSpanOps block.
-    if (!runStatus_.isOk()) [[unlikely]]
-        return false;
-    Operation op;
-    std::uint64_t t0 = obs_.tracer->nowUs();
-    if (pumpOps_ == 0)
-        pumpStartUs_ = t0;
-    bool got = source_->next(op);
-    std::uint64_t t1 = obs_.tracer->nowUs();
-    pumpDecodeUs_ += t1 - t0;
-    if (!got) {
-        flushPumpSpan();
-        return false;
-    }
-    model_->syncEntities();
-    processOp(op, static_cast<OpId>(cursor_));
-    ++cursor_;
-    pumpResolveUs_ += obs_.tracer->nowUs() - t1;
-    if (++pumpOps_ >= kPumpSpanOps)
-        flushPumpSpan();
-    return true;
-}
-
-bool
-DetectorEngine::processNextTimed()
-{
-    // Timed pump: Decode is measured here, ClockJoin/RaceCheck by
-    // PhaseScope sites inside the model, GcSweep by processOp, and
-    // ModelApply is the residual — so the buckets sum to the
-    // measured per-op wall time.
-    using SteadyClock = std::chrono::steady_clock;
     auto nsBetween = [](SteadyClock::time_point a,
                         SteadyClock::time_point b) {
         return static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
                 .count());
     };
-    Operation op;
-    auto t0 = SteadyClock::now();
-    bool got = source_->next(op);
-    auto t1 = SteadyClock::now();
-    if (!got)
-        return false;
-    for (std::size_t i = 0; i < kNumPhases; ++i)
-        opPhaseNs_[i] = 0;
-    opPhaseNs_[static_cast<std::size_t>(Phase::Decode)] =
-        nsBetween(t0, t1);
-    model_->syncEntities();
-    processOp(op, static_cast<OpId>(cursor_));
-    ++cursor_;
-    auto t2 = SteadyClock::now();
+    // Decode is the pull; the PhaseScope sites booked the nested
+    // phases while the op resolved, and ModelApply is the rest of the
+    // resolve time, so the five buckets sum to the op's wall time.
+    std::uint64_t *ph = opPhaseNs_;
+    auto at = [ph](Phase p) -> std::uint64_t & {
+        return ph[static_cast<std::size_t>(p)];
+    };
     std::uint64_t resolveNs = nsBetween(t1, t2);
     std::uint64_t nested =
-        opPhaseNs_[static_cast<std::size_t>(Phase::ClockJoin)] +
-        opPhaseNs_[static_cast<std::size_t>(Phase::RaceCheck)] +
-        opPhaseNs_[static_cast<std::size_t>(Phase::GcSweep)];
-    opPhaseNs_[static_cast<std::size_t>(Phase::ModelApply)] =
-        resolveNs > nested ? resolveNs - nested : 0;
+        at(Phase::ClockJoin) + at(Phase::RaceCheck) + at(Phase::GcSweep);
+    at(Phase::Decode) = nsBetween(t0, t1);
+    at(Phase::ModelApply) = resolveNs > nested ? resolveNs - nested : 0;
     for (std::size_t i = 0; i < kNumPhases; ++i) {
-        totalPhaseNs_[i] += opPhaseNs_[i];
+        totalPhaseNs_[i] += ph[i];
         // Decode and ModelApply happen every op; the nested phases
         // are recorded only when they ran, so their histogram counts
         // mean "ops where the phase fired".
         bool everyOp = i <= static_cast<std::size_t>(Phase::ModelApply);
-        if (phaseHist_[i] && (everyOp || opPhaseNs_[i] > 0))
-            phaseHist_[i]->observe(opPhaseNs_[i]);
+        if (phaseHist_[i] && (everyOp || ph[i] > 0))
+            phaseHist_[i]->observe(ph[i]);
     }
-    return true;
+    if (obs_.tracer) {
+        if (pumpOps_ == 0)
+            pumpStart_ = t0;
+        pumpEnd_ = t2;
+        pumpDecodeNs_ += at(Phase::Decode);
+        pumpResolveNs_ += at(Phase::ModelApply) + nested;
+        if (++pumpOps_ >= kPumpSpanOps)
+            flushPumpSpan();
+    }
+    std::fill(ph, ph + kNumPhases, 0);
+}
+
+bool
+DetectorEngine::flushPumpSpan()
+{
+    if (pumpOps_ == 0)
+        return false;
+    obs_.tracer->span(
+        obs::kMainTrack, "pump", obs_.tracer->usAt(pumpStart_),
+        obs_.tracer->usAt(pumpEnd_),
+        strf("{\"ops\":%llu,\"decode_us\":%llu,\"resolve_us\":%llu}",
+             static_cast<unsigned long long>(pumpOps_),
+             static_cast<unsigned long long>(pumpDecodeNs_ / 1000),
+             static_cast<unsigned long long>(pumpResolveNs_ / 1000)));
+    pumpOps_ = 0;
+    pumpDecodeNs_ = 0;
+    pumpResolveNs_ = 0;
+    return false;
 }
 
 void
 DetectorEngine::processOp(const Operation &op, OpId id)
 {
-    if (!model_->admitOp(op)) [[unlikely]]
+    if (const char *why = model_->admitOp(op)) [[unlikely]] {
+        dropInvalidOp(why);
         return;
+    }
     model_->applyOp(op, id);
 
     if (cfg_.windowMs > 0)
@@ -180,9 +158,54 @@ DetectorEngine::processOp(const Operation &op, OpId id)
         // at other ops would move the ladder's decisions, and with
         // them the reports of budgeted runs.
         if (cfg_.memBudgetBytes > 0)
-            model_->relieveMemoryPressure(op.vtime);
+            relieveMemoryPressure(op.vtime);
     }
     model_->syncDerivedCounters();
+}
+
+void
+DetectorEngine::dropInvalidOp(const char *why)
+{
+    ++counters_.invalidOpsDropped;
+    warnRateLimited(
+        "detector.invalid_op",
+        strf("dropping protocol-invalid op at index %llu: %s",
+             static_cast<unsigned long long>(cursor_), why));
+    if (counters_.invalidOpsDropped > cfg_.maxInvalidOps) {
+        failRun(Status::error(
+            ErrCode::BudgetExceeded,
+            strf("invalid-op budget exhausted after %llu dropped "
+                 "operations; last: %s",
+                 static_cast<unsigned long long>(
+                     counters_.invalidOpsDropped),
+                 why),
+            cursor_));
+    }
+}
+
+void
+DetectorEngine::noteAnomaly(const char *what)
+{
+    ++counters_.causalAnomalies;
+    warnRateLimited("detector.causal_anomaly",
+                    strf("tolerating causality anomaly: %s", what));
+    // Anomalies are downstream echoes of dropped/reordered ops;
+    // charge them to the same budget so a thoroughly scrambled trace
+    // fails fast instead of producing a confident garbage report.
+    if (counters_.causalAnomalies + counters_.invalidOpsDropped >
+            cfg_.maxInvalidOps &&
+        runStatus_.isOk()) {
+        failRun(Status::error(
+            ErrCode::BudgetExceeded,
+            strf("anomaly budget exhausted (%llu anomalies, %llu "
+                 "dropped ops); last: %s",
+                 static_cast<unsigned long long>(
+                     counters_.causalAnomalies),
+                 static_cast<unsigned long long>(
+                     counters_.invalidOpsDropped),
+                 what),
+            cursor_));
+    }
 }
 
 void
@@ -193,6 +216,67 @@ DetectorEngine::failRun(Status st)
                          "protocol.budget_exhausted", st.message(),
                          cursor_);
     runStatus_ = std::move(st);
+}
+
+void
+DetectorEngine::relieveMemoryPressure(std::uint64_t now)
+{
+    // Checker bytes are deliberately excluded (see the config doc):
+    // the ladder must fire identically when a checkpointed run is
+    // replayed against a restored checker.
+    auto overBudget = [this] {
+        return model_->modelBytes() > cfg_.memBudgetBytes;
+    };
+    if (!overBudget())
+        return;
+
+    // Rung 1: the model's aggressive sweep — reclaim everything
+    // reclaimable without any recall impact.
+    model_->aggressiveSweep();
+    ++counters_.pressureGcSweeps;
+    logRung(obs::EventLog::Severity::Info, "pressure.sweep",
+            strf("aggressive sweep; %llu bytes live",
+                 static_cast<unsigned long long>(model_->modelBytes())));
+    if (!overBudget())
+        return;
+
+    // Rung 2: halve the time window (down to the floor) and age the
+    // excess out immediately. Equivalent to having configured the
+    // smaller window: recall degrades only for races separated by
+    // more than the new window.
+    while (cfg_.windowMs > cfg_.minWindowMs) {
+        cfg_.windowMs = std::max(cfg_.windowMs / 2, cfg_.minWindowMs);
+        model_->ageWindow(now);
+        model_->gcSweep();
+        ++counters_.pressureWindowShrinks;
+        logRung(obs::EventLog::Severity::Warn, "pressure.shrink",
+                strf("window halved to %llu ms",
+                     static_cast<unsigned long long>(cfg_.windowMs)));
+        if (!overBudget())
+            return;
+    }
+
+    // Rung 3: age every ended event or settled task into the window
+    // clock, whatever its age — the window collapses to "currently
+    // live entities only" for this moment. New metadata keeps
+    // accruing afterwards, so the ladder may fire again at the next
+    // GC check.
+    if (cfg_.windowMs > 0 &&
+        model_->ageWindow(std::numeric_limits<std::uint64_t>::max())) {
+        model_->gcSweep();
+        ++counters_.pressureInvalidations;
+        logRung(obs::EventLog::Severity::Warn, "pressure.invalidate",
+                "every ended event or task invalidated into the window "
+                "clock");
+    }
+}
+
+void
+DetectorEngine::logRung(obs::EventLog::Severity sev, const char *kind,
+                        const std::string &msg)
+{
+    if (obs_.events)
+        obs_.events->log(sev, kind, msg, cursor_);
 }
 
 std::uint64_t
@@ -213,6 +297,7 @@ void
 DetectorEngine::attachObs(const obs::ObsContext &ctx)
 {
     obs_ = ctx;
+    ledger_ = timing_ || obs_.tracer;
     if (!obs_.metrics)
         return;
     obs::MetricsRegistry &reg = *obs_.metrics;

@@ -5,9 +5,11 @@
  * DetectorEngine is the mechanism half of the model/mechanism split
  * (see core/model.hh): it owns the trace source, the access checker
  * reference, the run configuration and status, the op cursor, the
- * shared DetectorCounters, the GC/memory-pressure cadence, and the
- * observability plumbing (pump spans, detector.* metrics). All
- * happens-before semantics live in the plugged-in CausalityModel.
+ * shared DetectorCounters, the invalid-op budget, the GC cadence and
+ * memory-pressure ladder, and the observability plumbing (the phase
+ * ledger behind pump spans, phase histograms and totals, and the
+ * detector.* metrics). All happens-before semantics live in the
+ * plugged-in CausalityModel.
  *
  * AsyncClockDetector (core/detector.hh) is the backwards-compatible
  * facade: a DetectorEngine constructed with ModelKind::Looper.
@@ -34,12 +36,13 @@
 namespace asyncclock::core {
 
 /**
- * Latency-attribution phases (DetectorConfig::phaseTiming). Each
- * processed op's wall time is carved into these buckets: Decode and
- * GcSweep are measured directly by the engine, ClockJoin and
- * RaceCheck by PhaseScope sites inside the model, and ModelApply is
- * the residual (total resolve time minus the nested phases), so the
- * five buckets sum to the measured per-op wall time.
+ * Latency-attribution phases (the engine's phase ledger). Each
+ * processed op's wall time is carved into these buckets: Decode is
+ * the source pull, GcSweep, ClockJoin and RaceCheck are PhaseScope
+ * sites in the engine and the models (active with
+ * DetectorConfig::phaseTiming), and ModelApply is the residual (total
+ * resolve time minus the nested phases), so the five buckets sum to
+ * the measured per-op wall time.
  */
 enum class Phase : std::uint8_t {
     Decode = 0,   ///< pulling + decoding the next op from the source
@@ -95,16 +98,17 @@ class DetectorEngine : public report::Detector
      * snapshotted after this engine dies), and the model registers
      * its model.* metrics. With a tracer: "pump" spans on the main
      * track covering blocks of processed ops (with decode/resolve
-     * cost split in args) and a span per GC sweep. Call before the
-     * first processNext().
+     * cost split in args, from the phase ledger) and a span per GC
+     * sweep. Call before the first processNext().
      */
     void attachObs(const obs::ObsContext &ctx);
 
     /**
      * Structured health of the run. Ok while healthy; BudgetExceeded
-     * once maxInvalidOps protocol-invalid operations were dropped
-     * (processNext() then returns false). A non-ok status means the
-     * race report is best-effort, not authoritative.
+     * once more than maxInvalidOps protocol-invalid operations and
+     * causal anomalies were charged (processNext() then returns
+     * false). A non-ok status means the race report is best-effort,
+     * not authoritative.
      */
     const Status &runStatus() const { return runStatus_; }
 
@@ -120,16 +124,15 @@ class DetectorEngine : public report::Detector
     /** Entity tables seen so far by the source. */
     const trace::TraceMeta &meta() const { return source_->meta(); }
     report::AccessChecker &checker() { return checker_; }
-    /** Mutable: the pressure ladder shrinks cfg().windowMs. */
-    DetectorConfig &cfg() { return cfg_; }
+    /** The run's configuration; the pressure ladder shrinks its
+     * windowMs. */
+    const DetectorConfig &cfg() const { return cfg_; }
     DetectorCounters &countersMut() { return counters_; }
-    /** Fail the run with a structured status (budget exhaustion);
-     * logged to the attached event log, if any. */
-    void failRun(Status st);
+    /** Count a tolerated causality-invariant violation; charges the
+     * invalid-op budget, so it may fail the run. */
+    void noteAnomaly(const char *what);
     /** Attached tracer, or null (for model-specific spans). */
     obs::Tracer *tracer() const { return obs_.tracer; }
-    /** Attached structured event log, or null. */
-    obs::EventLog *events() const { return obs_.events; }
 
     // ----- per-phase latency attribution ----------------------------
     /** True when cfg().phaseTiming is set; PhaseScope sites check
@@ -143,21 +146,37 @@ class DetectorEngine : public report::Detector
         opPhaseNs_[static_cast<std::size_t>(p)] += ns;
     }
     /** Cumulative ns attributed per phase (index by Phase), for
-     * end-of-run reporting. All zero unless phaseTiming is on. */
+     * end-of-run reporting. All zero unless the ledger runs (with
+     * phaseTiming or a tracer); the nested phases need phaseTiming. */
     const std::uint64_t *phaseTotalsNs() const { return totalPhaseNs_; }
 
   private:
-    void processOp(const trace::Operation &op, trace::OpId id);
+    using SteadyClock = std::chrono::steady_clock;
 
-    // ----- observability (inactive until attachObs) -----------------
-    /** processNext() with per-block span timing; kept out of line so
-     * the untraced hot path stays small. */
-    bool processNextTraced();
-    /** processNext() with per-phase latency carving (takes precedence
-     * over tracing when both are enabled). */
-    bool processNextTimed();
-    /** Emit the accumulated pump span, if any ops are pending. */
-    void flushPumpSpan();
+    void processOp(const trace::Operation &op, trace::OpId id);
+    /** Drop a protocol-invalid op (admitOp said @p why); fails the
+     * run once the invalid-op budget is spent. */
+    void dropInvalidOp(const char *why);
+    /** Fail the run with a structured status (budget exhaustion);
+     * logged to the attached event log, if any. */
+    void failRun(Status st);
+    /** The degradation ladder while model bytes exceed
+     * memBudgetBytes: the model's aggressive sweep, then window
+     * halvings, then aging every ended entity into the window. */
+    void relieveMemoryPressure(std::uint64_t now);
+    /** Log one ladder rung to the attached event log, if any. */
+    void logRung(obs::EventLog::Severity sev, const char *kind,
+                 const std::string &msg);
+
+    // ----- the phase ledger (on with phaseTiming or a tracer) -------
+    /** Book one processed op pulled in [t0, t1] and resolved in
+     * [t1, t2] into the per-phase totals and histograms and the
+     * pending pump span. */
+    void bookOp(SteadyClock::time_point t0, SteadyClock::time_point t1,
+                SteadyClock::time_point t2);
+    /** Emit the pending pump span, if any ops are pending. Returns
+     * false, for processNext()'s false returns. */
+    bool flushPumpSpan();
 
     std::unique_ptr<trace::TraceSource> owned_;
     trace::TraceSource *source_;
@@ -182,11 +201,15 @@ class DetectorEngine : public report::Detector
      * throughput phases. */
     static constexpr std::uint64_t kPumpSpanOps = 8192;
     std::uint64_t pumpOps_ = 0;
-    std::uint64_t pumpStartUs_ = 0;
-    std::uint64_t pumpDecodeUs_ = 0;
-    std::uint64_t pumpResolveUs_ = 0;
+    SteadyClock::time_point pumpStart_{};
+    SteadyClock::time_point pumpEnd_{};
+    std::uint64_t pumpDecodeNs_ = 0;
+    std::uint64_t pumpResolveNs_ = 0;
 
-    // ----- phase timing (inactive unless cfg.phaseTiming) -----------
+    // ----- the phase ledger -----------------------------------------
+    /** The pump stamps each op: phaseTiming or a tracer is on. */
+    bool ledger_ = false;
+    /** PhaseScope sites time the nested phases: phaseTiming is on. */
     bool timing_ = false;
     /** ns attributed per phase within the op in flight. */
     std::uint64_t opPhaseNs_[kNumPhases] = {};

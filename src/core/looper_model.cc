@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/format.hh"
 #include "support/logging.hh"
 
 namespace asyncclock::core {
@@ -199,7 +198,7 @@ LooperModel::joinIntoChain(ChainId c, const Snapshot &snap)
     joinAtomicSet(ch.atomic, snap.atomic);
 }
 
-bool
+const char *
 LooperModel::admitOp(const Operation &op)
 {
     const char *why = nullptr;
@@ -240,26 +239,8 @@ LooperModel::admitOp(const Operation &op)
                  op.kind == OpKind::TaskCancel)) {
         why = "async-dialect op under the looper model";
     }
-    if (why) {
-        ++counters_.invalidOpsDropped;
-        warnRateLimited(
-            "detector.invalid_op",
-            strf("dropping protocol-invalid op at index %llu: %s",
-                 static_cast<unsigned long long>(
-                     engine_.opsProcessed()),
-                 why));
-        if (counters_.invalidOpsDropped > cfg_.maxInvalidOps) {
-            engine_.failRun(Status::error(
-                ErrCode::BudgetExceeded,
-                strf("invalid-op budget exhausted after %llu dropped "
-                     "operations; last: %s",
-                     static_cast<unsigned long long>(
-                         counters_.invalidOpsDropped),
-                     why),
-                engine_.opsProcessed()));
-        }
-        return false;
-    }
+    if (why)
+        return why;
     switch (op.kind) {
       case OpKind::ThreadBegin:
         threadPhase_[op.task.index()] =
@@ -288,32 +269,7 @@ LooperModel::admitOp(const Operation &op)
       default:
         break;
     }
-    return true;
-}
-
-void
-LooperModel::noteAnomaly(const char *what)
-{
-    ++counters_.causalAnomalies;
-    warnRateLimited("detector.causal_anomaly",
-                    strf("tolerating causality anomaly: %s", what));
-    // Anomalies are downstream echoes of dropped/reordered ops;
-    // charge them to the same budget so a thoroughly scrambled trace
-    // fails fast instead of producing a confident garbage report.
-    if (counters_.causalAnomalies + counters_.invalidOpsDropped >
-            cfg_.maxInvalidOps &&
-        engine_.runStatus().isOk()) {
-        engine_.failRun(Status::error(
-            ErrCode::BudgetExceeded,
-            strf("anomaly budget exhausted (%llu anomalies, %llu "
-                 "dropped ops); last: %s",
-                 static_cast<unsigned long long>(
-                     counters_.causalAnomalies),
-                 static_cast<unsigned long long>(
-                     counters_.invalidOpsDropped),
-                 what),
-            engine_.opsProcessed()));
-    }
+    return nullptr;
 }
 
 void
@@ -641,7 +597,7 @@ LooperModel::priorityResolve(EventMeta *m, Resolution &r)
                 if (!x->ended) {
                     // Only reachable on protocol-damaged traces (a
                     // dropped EventEnd upstream); inherit nothing.
-                    noteAnomaly("priority predecessor has not ended");
+                    engine_.noteAnomaly("priority predecessor has not ended");
                     covered = false;
                     return;
                 }
@@ -777,7 +733,7 @@ LooperModel::binderResolve(EventMeta *m, Resolution &r)
     for (auto &[chain, start] : r.starts) {
         auto inheritBegin = [&](EventMeta *x, const EventRef &ref) {
             if (!x->begun) {
-                noteAnomaly("binder FIFO dispatch violated");
+                engine_.noteAnomaly("binder FIFO dispatch violated");
                 return;
             }
             if (r.vc.knows(x->beginEpoch))
@@ -837,7 +793,7 @@ LooperModel::atFrontFold(EventMeta *m, Resolution &r)
         // send(F) hb begin(E).
         if (r.vc.knows(f->sendEpoch)) {
             if (!f->ended) {
-                noteAnomaly("at-front predecessor has not ended");
+                engine_.noteAnomaly("at-front predecessor has not ended");
                 continue;
             }
             inheritEnd(r, ref);
@@ -1251,20 +1207,16 @@ LooperModel::retireChain(ChainId c)
     }
 }
 
-void
+bool
 LooperModel::ageWindow(std::uint64_t now)
 {
+    bool aged = false;
     while (!endedQueue_.empty() &&
            endedQueue_.front().first + cfg_.windowMs < now) {
         ageOneEnded();
+        aged = true;
     }
-}
-
-void
-LooperModel::drainEndedWindow()
-{
-    while (!endedQueue_.empty())
-        ageOneEnded();
+    return aged;
 }
 
 void
@@ -1440,67 +1392,6 @@ LooperModel::aggressiveSweep()
         });
     }
     gcSweep();
-}
-
-void
-LooperModel::relieveMemoryPressure(std::uint64_t now)
-{
-    // Checker bytes are deliberately excluded (see the config doc):
-    // the ladder must fire identically when a checkpointed run is
-    // replayed against a restored checker.
-    if (modelBytes() <= cfg_.memBudgetBytes)
-        return;
-
-    obs::EventLog *events = engine_.events();
-
-    // Rung 1: aggressive sweep — reclaim everything reclaimable
-    // without any recall impact.
-    aggressiveSweep();
-    ++counters_.pressureGcSweeps;
-    if (events)
-        events->log(obs::EventLog::Severity::Info, "pressure.sweep",
-                    strf("aggressive sweep; %llu bytes live",
-                         static_cast<unsigned long long>(
-                             modelBytes())),
-                    engine_.opsProcessed());
-    if (modelBytes() <= cfg_.memBudgetBytes)
-        return;
-
-    // Rung 2: halve the time window (down to the floor) and age the
-    // excess out immediately. Equivalent to having configured the
-    // smaller window: recall degrades only for races separated by
-    // more than the new window.
-    while (cfg_.windowMs > cfg_.minWindowMs) {
-        cfg_.windowMs = std::max(cfg_.windowMs / 2, cfg_.minWindowMs);
-        ageWindow(now);
-        gcSweep();
-        ++counters_.pressureWindowShrinks;
-        if (events)
-            events->log(obs::EventLog::Severity::Warn,
-                        "pressure.shrink",
-                        strf("window halved to %llu ms",
-                             static_cast<unsigned long long>(
-                                 cfg_.windowMs)),
-                        engine_.opsProcessed());
-        if (modelBytes() <= cfg_.memBudgetBytes)
-            return;
-    }
-
-    // Rung 3: invalidate every ended event into the window clocks —
-    // the window collapses to "currently live events only" for this
-    // moment. New metadata keeps accruing afterwards, so the ladder
-    // may fire again at the next GC check.
-    if (cfg_.windowMs > 0 && !endedQueue_.empty()) {
-        drainEndedWindow();
-        gcSweep();
-        ++counters_.pressureInvalidations;
-        if (events)
-            events->log(obs::EventLog::Severity::Warn,
-                        "pressure.invalidate",
-                        "every ended event invalidated into the "
-                        "window clock",
-                        engine_.opsProcessed());
-    }
 }
 
 MemCatBytes

@@ -56,11 +56,13 @@ class LooperModel : public CausalityModel
 
     ModelKind kind() const override { return ModelKind::Looper; }
     void syncEntities() override;
-    bool admitOp(const trace::Operation &op) override;
+    const char *admitOp(const trace::Operation &op) override;
     void applyOp(const trace::Operation &op, trace::OpId id) override;
-    void ageWindow(std::uint64_t now) override;
+    bool ageWindow(std::uint64_t now) override;
     void gcSweep() override;
-    void relieveMemoryPressure(std::uint64_t now) override;
+    /** Rung 1: compact every async-before list (tombstones out,
+     * capacity returned) and run a full sweep. */
+    void aggressiveSweep() override;
     void syncDerivedCounters() override;
     std::uint32_t numChains() const override
     {
@@ -183,13 +185,6 @@ class LooperModel : public CausalityModel
     enum class ThreadPhase : std::uint8_t { Unstarted, Running, Ended };
     enum class EventPhase : std::uint8_t { Unsent, Pending, Running, Done };
 
-    /** Count a tolerated causality-invariant violation; charges the
-     * same budget as dropped ops. */
-    void noteAnomaly(const char *what);
-    /** Rung 1: compact every async-before list (tombstones out,
-     * capacity returned) and run a full sweep. */
-    void aggressiveSweep();
-
     // ----- op handlers ----------------------------------------------
     void onThreadBegin(const trace::Operation &op);
     void onThreadEnd(const trace::Operation &op);
@@ -257,8 +252,6 @@ class LooperModel : public CausalityModel
                          std::vector<EventRef> *deferred = nullptr);
     /** Fold the oldest ended event into its queue's window clock. */
     void ageOneEnded();
-    /** Rung 3: age out every ended event regardless of window age. */
-    void drainEndedWindow();
     void retireChain(ChainId c);
     /** Begin-time dominance drop of the record adjacent below event
      * @p m's own async-before record (see definition for the safety
@@ -276,7 +269,7 @@ class LooperModel : public CausalityModel
     /** Engine-owned services, bound once (the moved resolution code
      * reads these under their pre-split member names). */
     report::AccessChecker &checker_;
-    DetectorConfig &cfg_;
+    const DetectorConfig &cfg_;
     DetectorCounters &counters_;
 
     std::vector<ChainState> chains_;

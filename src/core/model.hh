@@ -94,11 +94,16 @@ WeakOrderingSpec weakOrderingFor(ModelKind kind);
  *
  * Call protocol (driven by the engine, in this order per operation):
  * syncEntities() after each source pull (entity tables may grow
- * mid-stream), admitOp() as the protocol gate (false = dropped, with
- * the engine's shared budget), applyOp() for the happens-before work
- * and access emission, then ageWindow()/gcSweep()/
- * relieveMemoryPressure() on the engine's cadence, and
+ * mid-stream), admitOp() as the protocol gate (a non-null reason
+ * drops the op; the engine counts it against its invalid-op budget),
+ * applyOp() for the happens-before work and access emission, then
+ * ageWindow() and gcSweep() on the engine's cadence, and
  * syncDerivedCounters() to publish model-derived counter values.
+ * Over a memory budget the engine climbs its degradation ladder with
+ * the same hooks: aggressiveSweep(), then window halvings with
+ * ageWindow() and gcSweep(), then ageWindow() with an unbounded now.
+ * Tolerated causality anomalies are reported back through
+ * DetectorEngine::noteAnomaly(), which charges the same budget.
  */
 class CausalityModel
 {
@@ -110,25 +115,26 @@ class CausalityModel
     /** Grow per-entity state to match the source's meta(). */
     virtual void syncEntities() = 0;
 
-    /** True if @p op is admissible under the model's entity life
-     * cycles; commits its phase transition. False = dropped (counted;
-     * may fail the run via the engine's invalid-op budget). */
-    virtual bool admitOp(const trace::Operation &op) = 0;
+    /** Null if @p op is admissible under the model's entity life
+     * cycles, and then commits its phase transition. Otherwise why
+     * it is not (a static string); the engine drops the op. */
+    virtual const char *admitOp(const trace::Operation &op) = 0;
 
     /** Apply one admitted operation: maintain clocks and metadata,
      * emit Read/Write accesses into the engine's checker. */
     virtual void applyOp(const trace::Operation &op,
                          trace::OpId id) = 0;
 
-    /** Age out metadata older than the configured time window. */
-    virtual void ageWindow(std::uint64_t now) = 0;
+    /** Age out metadata that ended more than the configured time
+     * window before @p now. True if anything left the aging queue. */
+    virtual bool ageWindow(std::uint64_t now) = 0;
 
     /** Periodic garbage-collection sweep. */
     virtual void gcSweep() = 0;
 
-    /** Degradation ladder while over the memory budget (see
-     * DetectorConfig::memBudgetBytes). */
-    virtual void relieveMemoryPressure(std::uint64_t now) = 0;
+    /** First rung of the memory-pressure ladder: reclaim everything
+     * reclaimable without recall impact. Defaults to gcSweep(). */
+    virtual void aggressiveSweep() { gcSweep(); }
 
     /** Publish counters derived from model-internal state (live
      * metadata gauges etc.) into the engine's DetectorCounters. */

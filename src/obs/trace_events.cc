@@ -31,9 +31,14 @@ Tracer::registerTrack(const std::string &name)
 std::uint64_t
 Tracer::nowUs() const
 {
+    return usAt(std::chrono::steady_clock::now());
+}
+
+std::uint64_t
+Tracer::usAt(std::chrono::steady_clock::time_point t) const
+{
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - epoch_)
+        std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_)
             .count());
 }
 

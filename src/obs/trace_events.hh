@@ -55,6 +55,10 @@ class Tracer
     /** Microseconds since tracer construction (steady clock). */
     std::uint64_t nowUs() const;
 
+    /** @p t as microseconds since tracer construction, for producers
+     * that already read the steady clock. */
+    std::uint64_t usAt(std::chrono::steady_clock::time_point t) const;
+
     /** Record a completed span on @p tid. @p args, when non-empty,
      * must be a rendered JSON object (e.g. "{\"ops\":512}"). */
     void span(int tid, std::string name, std::uint64_t startUs,

@@ -5,6 +5,7 @@
  * in every category, after every operation — under the default
  * configuration, without heirless reclaim, without a time window, and
  * with a budget tight enough that every memory-pressure rung fires.
+ * The async model's ladder decisions under that budget are pinned.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/engine.hh"
 #include "report/fasttrack.hh"
@@ -157,6 +159,69 @@ TEST(Accounting, AsyncTotalsMatchWalkAfterEveryOp)
                 EXPECT_GT(d.counters.invalidatedByWindow, 0u) << what;
             if (cfg.memBudgetBytes > 0)
                 EXPECT_GT(d.counters.pressureGcSweeps, 0u) << what;
+        }
+    }
+}
+
+// The engine runs one memory-pressure ladder for both models. These
+// are the async model's decisions under a 16 KB budget, recorded
+// before the ladder moved out of the model; only gcSweeps moved
+// since, by one per window halving (the async model now sweeps after
+// each one, as the looper model does). Every trace here reaches the
+// 1 s window floor in 7 halvings. Peak bytes are read between ops.
+TEST(Accounting, AsyncLadderDecisionsPinned)
+{
+    struct Race
+    {
+        trace::VarId var;
+        trace::OpId prevOp, curOp;
+    };
+    struct Pin
+    {
+        const char *profile;
+        std::uint64_t sweeps, shrinks, invalidations;
+        std::uint64_t invalidated, created, reused, gcSweeps;
+        std::uint64_t peakModelBytes;
+        std::vector<Race> races;
+    };
+    const Pin pins[] = {
+        {"AsyncTree", 5, 7, 5, 284, 75, 261, 15 + 7, 471896,
+         {{25, 25, 29}, {32, 62, 63}, {41, 89, 97}, {48, 135, 136}}},
+        {"AsyncPipeline", 4, 7, 4, 228, 99, 132, 13 + 7, 684120,
+         {{31, 43, 52}, {38, 102, 105}, {45, 140, 141}, {58, 206, 209}}},
+        {"AsyncFanOut", 10, 7, 10, 633, 76, 579, 30 + 7, 843344,
+         {{30, 18, 19}, {39, 84, 89}, {46, 127, 128}, {57, 185, 189}}},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.profile);
+        workload::AsyncProfile p =
+            workload::asyncProfileByName(pin.profile);
+        p.rootTasks *= 10;
+        trace::Trace tr = workload::generateAsyncApp(p).trace;
+        DetectorConfig cfg;
+        cfg.memBudgetBytes = 16 * 1024;
+        report::FastTrackChecker checker;
+        DetectorEngine eng(ModelKind::Async, tr, checker, cfg);
+        std::uint64_t peak = 0;
+        while (eng.processNext())
+            peak = std::max(peak, eng.model().modelBytes());
+        ASSERT_TRUE(eng.runStatus().isOk());
+        const core::DetectorCounters &c = eng.counters();
+        EXPECT_EQ(c.pressureGcSweeps, pin.sweeps);
+        EXPECT_EQ(c.pressureWindowShrinks, pin.shrinks);
+        EXPECT_EQ(c.pressureInvalidations, pin.invalidations);
+        EXPECT_EQ(eng.cfg().windowMs, cfg.minWindowMs);
+        EXPECT_EQ(c.invalidatedByWindow, pin.invalidated);
+        EXPECT_EQ(c.chainsCreated, pin.created);
+        EXPECT_EQ(c.chainsReused, pin.reused);
+        EXPECT_EQ(c.gcSweeps, pin.gcSweeps);
+        EXPECT_EQ(peak, pin.peakModelBytes);
+        const std::vector<report::RaceReport> &races = checker.races();
+        ASSERT_EQ(races.size(), pin.races.size());
+        for (std::size_t i = 0; i < races.size(); ++i) {
+            EXPECT_EQ(races[i].var, pin.races[i].var) << i;
+            EXPECT_EQ(races[i].prevOp, pin.races[i].prevOp) << i;
+            EXPECT_EQ(races[i].curOp, pin.races[i].curOp) << i;
         }
     }
 }

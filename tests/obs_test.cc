@@ -426,42 +426,97 @@ TEST(DetectorObs, CountersRegisteredAndPumpSpansEmitted)
         workload::profileByName("AnyMemo", 0.005);
     workload::GeneratedApp app = workload::generateApp(profile);
 
-    obs::MetricsRegistry registry;
-    obs::Tracer tracer;
-    report::FastTrackChecker checker;
-    core::AsyncClockDetector det(app.trace, checker);
-    det.attachObs(obs::ObsContext{&registry, &tracer});
-    det.runAll();
+    // A run that fails its op budget: a burst of ops from a thread
+    // that never began, one more than the budget allows.
+    trace::Trace failing = app.trace;
+    trace::ThreadId ghost =
+        failing.addThread(trace::ThreadKind::Worker, "ghost");
+    std::uint64_t end = failing.ops().back().vtime;
+    for (int i = 0; i < 5; ++i)
+        failing.write(trace::Task::thread(ghost), 0, 0, end);
 
-    obs::MetricsSnapshot snap = registry.snapshot();
-    auto counter = [&](const std::string &name) -> std::uint64_t {
-        for (const auto &[n, v] : snap.counters)
-            if (n == name)
-                return v;
-        ADD_FAILURE() << "counter not found: " << name;
-        return 0;
+    struct Case
+    {
+        const char *name;
+        const trace::Trace *tr;
+        bool phaseTiming;
+        std::uint64_t maxInvalidOps;
     };
-    EXPECT_EQ(counter("detector.ops_processed"), det.opsProcessed());
-    EXPECT_EQ(counter("detector.events_seen"),
-              det.counters().eventsSeen);
-    EXPECT_GT(counter("detector.clock_ticks"), 0u);
-    EXPECT_GT(counter("detector.clock_joins"), 0u);
-    EXPECT_GT(counter("detector.gc_sweeps"), 0u);
+    const Case cases[] = {
+        {"tracer", &app.trace, false, 64},
+        {"tracer and phase timing", &app.trace, true, 64},
+        {"tracer and a failed run", &failing, false, 4},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        obs::MetricsRegistry registry;
+        obs::Tracer tracer;
+        report::FastTrackChecker checker;
+        core::DetectorConfig cfg;
+        cfg.phaseTiming = c.phaseTiming;
+        cfg.maxInvalidOps = c.maxInvalidOps;
+        core::AsyncClockDetector det(*c.tr, checker, cfg);
+        det.attachObs(obs::ObsContext{&registry, &tracer});
+        det.runAll();
+        EXPECT_EQ(det.runStatus().isOk(), c.tr == &app.trace)
+            << det.runStatus().toString();
 
-    // The pump spans cover the whole run: their op counts add up to
-    // the processed total.
-    std::uint64_t pumpedOps = 0;
-    for (const auto &ev : tracer.events()) {
-        if (ev.ph != 'X' || ev.name != "pump")
+        obs::MetricsSnapshot snap = registry.snapshot();
+        auto counter = [&](const std::string &name) -> std::uint64_t {
+            for (const auto &[n, v] : snap.counters)
+                if (n == name)
+                    return v;
+            ADD_FAILURE() << "counter not found: " << name;
+            return 0;
+        };
+        EXPECT_EQ(counter("detector.ops_processed"), det.opsProcessed());
+        EXPECT_EQ(counter("detector.events_seen"),
+                  det.counters().eventsSeen);
+        EXPECT_GT(counter("detector.clock_ticks"), 0u);
+        EXPECT_GT(counter("detector.clock_joins"), 0u);
+        EXPECT_GT(counter("detector.gc_sweeps"), 0u);
+
+        // The pump spans cover the whole run: their op counts add up
+        // to the processed total.
+        auto arg = [](const std::string &args, const char *key) {
+            std::string field = std::string("\"") + key + "\":";
+            std::size_t p = args.find(field);
+            EXPECT_NE(p, std::string::npos) << key;
+            return p == std::string::npos
+                       ? 0ull
+                       : std::strtoull(args.c_str() + p + field.size(),
+                                       nullptr, 10);
+        };
+        std::uint64_t pumpedOps = 0, spans = 0, decodeUs = 0,
+                      resolveUs = 0;
+        for (const auto &ev : tracer.events()) {
+            if (ev.ph != 'X' || ev.name != "pump")
+                continue;
+            EXPECT_EQ(ev.tid, obs::kMainTrack);
+            ++spans;
+            pumpedOps += arg(ev.args, "ops");
+            decodeUs += arg(ev.args, "decode_us");
+            resolveUs += arg(ev.args, "resolve_us");
+        }
+        EXPECT_EQ(pumpedOps, det.opsProcessed());
+        EXPECT_TRUE(validJson(tracer.toJson()));
+        if (!c.phaseTiming)
             continue;
-        EXPECT_EQ(ev.tid, obs::kMainTrack);
-        std::size_t p = ev.args.find("\"ops\":");
-        ASSERT_NE(p, std::string::npos);
-        pumpedOps += std::strtoull(ev.args.c_str() + p + 6, nullptr,
-                                   10);
+        // With phase timing the spans' time split comes from the same
+        // ledger as the phase totals; each span rounds its decode and
+        // resolve ns down to whole microseconds.
+        const std::uint64_t *totals = det.phaseTotalsNs();
+        std::uint64_t allNs = 0;
+        for (std::size_t k = 0; k < core::kNumPhases; ++k)
+            allNs += totals[k];
+        std::uint64_t decodeNs =
+            totals[static_cast<std::size_t>(core::Phase::Decode)];
+        std::uint64_t resolveNs = allNs - decodeNs;
+        EXPECT_LE(decodeUs, decodeNs / 1000);
+        EXPECT_GE(decodeUs + spans, decodeNs / 1000);
+        EXPECT_LE(resolveUs, resolveNs / 1000);
+        EXPECT_GE(resolveUs + spans, resolveNs / 1000);
     }
-    EXPECT_EQ(pumpedOps, det.opsProcessed());
-    EXPECT_TRUE(validJson(tracer.toJson()));
 }
 
 } // namespace
