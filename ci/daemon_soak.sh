@@ -4,9 +4,8 @@
 # checkpoint evictions, plus one SIGKILL + restart with client resync,
 # one poisoned session (interleaved dialect), and a SIGTERM drain.
 # Every healthy session's report must be byte-identical to a
-# single-shot `trace_analyzer analyze --streaming` over the same
-# bytes, and the poisoned session must quarantine without touching a
-# neighbor.
+# single-shot `trace_analyzer analyze` over the same bytes, and the
+# poisoned session must quarantine without touching a neighbor.
 #
 # Usage: ci/daemon_soak.sh <trace_analyzer-binary> [workdir]
 set -eu
@@ -34,8 +33,7 @@ echo "== generating traces + baselines"
 "$BIN" gen AsyncTree async_a.trace 2 >/dev/null
 "$BIN" gen AsyncPipeline async_b.trace 2 >/dev/null
 for t in looper_a looper_b async_a async_b; do
-    "$BIN" analyze "$t.trace" --streaming \
-        --report-out="$t.baseline" >/dev/null
+    "$BIN" analyze "$t.trace" --report-out="$t.baseline" >/dev/null
 done
 
 trace_for() {  # session index -> trace stem (mixed dialects)

@@ -112,7 +112,8 @@ main()
     for (const auto &group : summary.reported)
         std::printf("  %s\n", analyzer.describe(group).c_str());
     std::printf("\nJSON export:\n%s\n",
-                report::toJson(summary, tr).c_str());
+                report::toJson(summary, trace::TraceMeta::fromTrace(tr))
+                    .c_str());
 
     // Expect both planted bugs: the animation-vs-update race (the
     // barrier does not order them) and the receipt-vs-switch race.

@@ -12,7 +12,6 @@
  *                  [--model=looper|async]
  *                  [--window-ms=N] [--chains=fifo|greedy]
  *                  [--no-reclaim] [--all-races]
- *                  [--streaming]
  *                  [--progress[=N]] [--trace-out=PATH]
  *                  [--metrics-out=PATH]
  *
@@ -24,9 +23,10 @@
  * analyze auto-detects text vs binary traces by magic, and picks its
  * causality model from the trace's dialect tag; --model is an
  * assertion (a mismatch is an error), not an override — running the
- * looper rules over a task graph would be meaningless. --streaming
- * feeds the detector from the file without materializing the op
- * vector (O(1) trace memory).
+ * looper rules over a task graph would be meaningless. The detector
+ * always streams the trace from the file without materializing the
+ * op vector (O(1) trace memory); --verify and --predict reload the
+ * file for replay.
  *
  * Observability (all off by default, near-zero cost when off):
  * --progress prints a heartbeat line to stderr every N ops (default
@@ -42,8 +42,7 @@
  *
  * Example:
  *   ./build/examples/trace_analyzer gen Firefox /tmp/firefox.trace 0.02
- *   ./build/examples/trace_analyzer analyze /tmp/firefox.trace \
- *       --streaming
+ *   ./build/examples/trace_analyzer analyze /tmp/firefox.trace
  */
 
 #include <chrono>
@@ -110,10 +109,7 @@ usage()
         "  --no-reclaim     disable heirless-event reclamation\n"
         "  --all-races      disable the user-induced and\n"
         "                   commutativity filters\n"
-        "  --streaming      stream the trace from the file instead\n"
-        "                   of materializing the operation vector\n"
-        "  --json           print the report as JSON (materialized\n"
-        "                   mode only)\n"
+        "  --json           print the report as JSON\n"
         "  --verify[=N]     replay-verify candidate races (at most N\n"
         "                   classes; default all): flip each class\n"
         "                   representative's order and diff the state\n"
@@ -372,7 +368,6 @@ cmdAnalyze(int argc, char **argv)
     core::DetectorConfig cfg;
     report::FilterConfig filters;
     bool json = false;
-    bool streaming = false;
     bool resume = false;
     bool verify = false;
     std::uint32_t verifyMaxClasses = 0;
@@ -420,8 +415,6 @@ cmdAnalyze(int argc, char **argv)
         } else if (arg == "--all-races") {
             filters.userInducedOnly = false;
             filters.commutativityFilter = false;
-        } else if (arg == "--streaming") {
-            streaming = true;
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--verify") {
@@ -478,11 +471,6 @@ cmdAnalyze(int argc, char **argv)
         if (!ok)
             return 2;
     }
-    if (json && streaming) {
-        std::fprintf(stderr,
-                     "--json requires materialized mode\n");
-        return 2;
-    }
     if (predict && !verify) {
         // Prediction without verification would be unsound (a weak-
         // order candidate is only a hypothesis until replay confirms
@@ -504,15 +492,6 @@ cmdAnalyze(int argc, char **argv)
             return 2;
         }
         faults = parsed.value();
-        if ((faults.anyByteFaults() || faults.anyOpFaults()) &&
-            !streaming) {
-            // Byte/op faults wrap the streaming readers; materialized
-            // loading would reject the damage before the detector
-            // ever saw it.
-            std::fprintf(stderr,
-                         "--inject implies --streaming; enabling\n");
-            streaming = true;
-        }
     }
     if (resume && checkpointPath.empty()) {
         std::fprintf(stderr, "--resume requires --checkpoint=PATH\n");
@@ -639,56 +618,24 @@ cmdAnalyze(int argc, char **argv)
         checker = filter;
     }
 
-    trace::Trace tr;                       // materialized mode only
-    trace::OpenedSource opened;            // streaming, no faults
-    trace::FaultyOpenedSource faultyOpened; // streaming, with faults
-    trace::TraceSource *source = nullptr;  // streaming mode only
-    std::unique_ptr<report::Detector> detector;
-    core::DetectorEngine *acDetector = nullptr;
-    auto binaryE = trace::tryIsBinaryTraceFile(argv[2]);
-    if (!binaryE) {
+    auto opened = trace::tryOpenTraceSource(argv[2], policy, faults);
+    if (!opened) {
         std::fprintf(stderr, "error: %s\n",
-                     binaryE.status().toString().c_str());
+                     opened.status().toString().c_str());
         return 1;
     }
-    bool binary = binaryE.value();
-    if (streaming) {
-        if (faults.anyByteFaults() || faults.anyOpFaults()) {
-            auto fo =
-                trace::openFaultyTraceSource(argv[2], faults, policy);
-            if (!fo) {
-                std::fprintf(stderr, "error: %s\n",
-                             fo.status().toString().c_str());
-                return 1;
-            }
-            faultyOpened = std::move(fo.value());
-            source = faultyOpened.source.get();
-        } else {
-            auto os = trace::tryOpenTraceSource(argv[2], policy);
-            if (!os) {
-                std::fprintf(stderr, "error: %s\n",
-                             os.status().toString().c_str());
-                return 1;
-            }
-            opened = std::move(os.value());
-            source = opened.source.get();
-        }
-        std::printf("streaming %s (%s format)\n", argv[2],
-                    binary ? "binary" : "text");
-    } else {
-        tr = binary ? trace::loadBinaryTraceFile(argv[2])
-                    : trace::loadTraceFile(argv[2]);
-        std::printf("loaded %s: %s\n", argv[2],
-                    tr.stats().summary().c_str());
-    }
+    trace::TraceSource &source = opened.value().source();
+    std::printf("streaming %s (%s format)\n", argv[2],
+                opened.value().binary ? "binary" : "text");
+    std::unique_ptr<report::Detector> detector;
+    core::DetectorEngine *acDetector = nullptr;
     // Causality model: the trace's dialect tag is authoritative
     // (headers carry it in both text and binary form, so streaming
     // sources know it before the first op). --model only asserts the
     // caller's expectation — running the looper rules over a task
     // graph (or vice versa) would infer nonsense, so a mismatch is an
     // error, never a silent override.
-    const trace::Dialect dialect =
-        streaming ? source->meta().dialect() : tr.dialect();
+    const trace::Dialect dialect = source.meta().dialect();
     const core::ModelKind model = core::modelForDialect(dialect);
     if (!modelArg.empty()) {
         core::ModelKind requested = core::ModelKind::Looper;
@@ -723,11 +670,8 @@ cmdAnalyze(int argc, char **argv)
         return 1;
     }
     if (detectorName == "asyncclock") {
-        auto ac = streaming
-                      ? std::make_unique<core::DetectorEngine>(
-                            model, *source, *checker, cfg)
-                      : std::make_unique<core::DetectorEngine>(
-                            model, tr, *checker, cfg);
+        auto ac = std::make_unique<core::DetectorEngine>(
+            model, source, *checker, cfg);
         ac->attachObs(octx);
         acDetector = ac.get();
         detector = std::move(ac);
@@ -742,13 +686,8 @@ cmdAnalyze(int argc, char **argv)
                     .c_str());
             return 1;
         }
-        detector =
-            streaming
-                ? std::make_unique<graph::EventRacerDetector>(
-                      *source, *checker,
-                      graph::EventRacerConfig{})
-                : std::make_unique<graph::EventRacerDetector>(
-                      tr, *checker, graph::EventRacerConfig{});
+        detector = std::make_unique<graph::EventRacerDetector>(
+            source, *checker, graph::EventRacerConfig{});
     } else {
         return usage();
     }
@@ -873,9 +812,9 @@ cmdAnalyze(int argc, char **argv)
     // Structured post-mortems, most specific first. None of these
     // abort: a damaged trace or a blown error budget ends the run
     // with a diagnostic and a nonzero exit.
-    if (streaming && !source->ok()) {
+    if (!source.ok()) {
         std::fprintf(stderr, "trace stream failed: %s\n",
-                     source->status().toString().c_str());
+                     source.status().toString().c_str());
         return 1;
     }
     if (acDetector && !acDetector->runStatus().isOk()) {
@@ -906,9 +845,7 @@ cmdAnalyze(int argc, char **argv)
         }
     }
 
-    report::RaceAnalyzer analyzer =
-        streaming ? report::RaceAnalyzer(source->meta())
-                  : report::RaceAnalyzer(tr);
+    report::RaceAnalyzer analyzer(source.meta());
     report::ReportSummary summary = [&] {
         obs::ScopedSpan span(octx.tracer, obs::kMainTrack,
                              "report_export");
@@ -919,8 +856,7 @@ cmdAnalyze(int argc, char **argv)
     // authoritative is stated in the report itself. The wording lives
     // in core::appendRunNotes, shared with the daemon so both render
     // byte-identical degraded-run reports.
-    core::appendRunNotes(summary.notes,
-                         source ? source->recordsSkipped() : 0,
+    core::appendRunNotes(summary.notes, source.recordsSkipped(),
                          acDetector ? &acDetector->counters()
                                     : nullptr);
     if (!injectSpec.empty())
@@ -930,18 +866,20 @@ cmdAnalyze(int argc, char **argv)
     // ----- replay verification (--verify) ---------------------------
     report::TriageReport triage;
     verify::VerifySummary vsum;
-    // Verification and prediction both need a materialized trace. In
-    // streaming mode (including fault injection, which damages the
-    // in-memory stream, never the file) reload the file cleanly;
-    // flipping orders inside a half-decoded op vector would verify a
-    // program that never ran.
-    trace::Trace replayTrStorage;
-    const trace::Trace *replayTr = &tr;
-    if ((verify || predict) && streaming) {
-        replayTrStorage = binary ? trace::loadBinaryTraceFile(argv[2])
-                                 : trace::loadTraceFile(argv[2]);
-        replayTr = &replayTrStorage;
-    }
+    // Verification and prediction both need a materialized trace, so
+    // they reload the file cleanly (fault injection damages the
+    // in-memory stream, never the file); flipping orders inside a
+    // half-decoded op vector would verify a program that never ran.
+    // The reload is strict: a file whose corrupt records the decode
+    // budget skipped leaves every class UNVERIFIED and runs no
+    // prediction, and the detector's report still stands.
+    Expected<trace::Trace> replayTr = trace::Trace();
+    if (verify || predict)
+        replayTr = trace::tryLoadTrace(argv[2]);
+    const std::string reloadFailed =
+        replayTr ? ""
+                 : "cannot reload the trace for replay: " +
+                       replayTr.status().toString();
     if (verify) {
         // Candidates are the checker's races under the same
         // user-induced filter as the report; commutativity-filtered
@@ -960,7 +898,11 @@ cmdAnalyze(int argc, char **argv)
         vcfg.maxClasses = verifyMaxClasses;
         vcfg.maxOps = verifyMaxOps;
         vcfg.obs = octx;
-        vsum = verify::verifyTriage(triage, *replayTr, vcfg);
+        vsum = replayTr
+                   ? verify::verifyTriage(triage, replayTr.value(), vcfg)
+                   : verify::leaveUnverified(
+                         triage, "trace reload failed",
+                         reloadFailed + "; all classes left UNVERIFIED");
         std::printf("\nverification: %llu replay(s) in %.3fs\n",
                     (unsigned long long)vsum.replays, vsum.wallSec);
         for (const std::string &note : vsum.notes)
@@ -969,7 +911,10 @@ cmdAnalyze(int argc, char **argv)
 
     // ----- predictive race inference (--predict) --------------------
     predict::PredictResult pres;
-    if (predict) {
+    if (predict && !replayTr) {
+        pres.summary.notes.push_back(reloadFailed +
+                                     "; prediction skipped");
+    } else if (predict) {
         predict::PredictConfig pcfg;
         pcfg.bounds.window = predictWindow;
         pcfg.bounds.maxCandidates = predictMaxCandidates;
@@ -979,14 +924,14 @@ cmdAnalyze(int argc, char **argv)
         // The funnel subtracts everything the detector observed, so
         // it gets the unfiltered race list: a framework-noise race is
         // still an observed pair, not a prediction.
-        pres = predict::runPrediction(*replayTr, checker->races(),
-                                      pcfg);
+        pres = predict::runPrediction(replayTr.value(),
+                                      checker->races(), pcfg);
         std::printf("\nprediction: %llu replay(s) in %.3fs\n",
                     (unsigned long long)pres.summary.replays,
                     pres.summary.wallSec);
-        for (const std::string &note : pres.summary.notes)
-            std::fprintf(stderr, "predict note: %s\n", note.c_str());
     }
+    for (const std::string &note : pres.summary.notes)
+        std::fprintf(stderr, "predict note: %s\n", note.c_str());
 
     if (!traceOut.empty()) {
         tracer.writeFile(traceOut);
@@ -1015,10 +960,12 @@ cmdAnalyze(int argc, char **argv)
             pe.combinedHits = pres.summary.combinedHits;
             pe.observedRecall = pres.summary.observedRecall;
             pe.combinedRecall = pres.summary.combinedRecall;
-            jsonText = report::toJson(summary, triage, pe, tr);
+            jsonText =
+                report::toJson(summary, triage, pe, source.meta());
         } else {
-            jsonText = verify ? report::toJson(summary, triage, tr)
-                              : report::toJson(summary, tr);
+            jsonText =
+                verify ? report::toJson(summary, triage, source.meta())
+                       : report::toJson(summary, source.meta());
         }
         std::printf("%s\n", jsonText.c_str());
         if (!reportOut.empty()) {
@@ -1035,8 +982,7 @@ cmdAnalyze(int argc, char **argv)
     if (verify) {
         // Verdict lines carry no timings, so two runs over the same
         // trace produce byte-identical reports (CI diffs them).
-        trace::TraceMeta vmeta =
-            streaming ? source->meta() : trace::TraceMeta::fromTrace(tr);
+        const trace::TraceMeta &vmeta = source.meta();
         reportText += triage.summary() + "\n";
         for (const report::TriageClass &cls : triage.classes)
             reportText += "  " + report::describeClass(vmeta, cls) + "\n";

@@ -342,9 +342,9 @@ Session::appendChunkLocked(const IngestChunk &chunk)
 std::uint64_t
 Session::consumedBytesLocked()
 {
-    if (!spoolIn_)
+    if (!spool_)
         return 0;
-    auto pos = spoolIn_->tellg();
+    auto pos = spool_->file->tellg();
     if (pos < 0)
         return spooled_;
     return static_cast<std::uint64_t>(pos);
@@ -404,28 +404,15 @@ Status
 Session::ensureHotLocked()
 {
     teardownEngineLocked();
-    Expected<bool> binary = trace::tryIsBinaryTraceFile(spoolPath());
-    if (!binary)
-        return binary.status();
-    spoolIn_ = std::make_unique<std::ifstream>(spoolPath(),
-                                               std::ios::binary);
-    if (!*spoolIn_)
-        return Status::error(ErrCode::IoError,
-                             "cannot open spool " + spoolPath());
-    trace::SourceErrorPolicy policy;  // defaults match single-shot
-    if (binary.value())
-        source_ = std::make_unique<trace::StreamingBinarySource>(
-            *spoolIn_, policy);
-    else
-        source_ = std::make_unique<trace::StreamingTextSource>(
-            *spoolIn_, policy);
-    if (!source_->ok()) {
-        Status st = source_->status();
-        teardownEngineLocked();
-        return st;
-    }
+    // The opener analyze uses, with its default (strict) decode
+    // budget, so a session report matches a single-shot run's.
+    Expected<trace::OpenedSource> opened =
+        trace::tryOpenTraceSource(spoolPath());
+    if (!opened)
+        return opened.status();
+    spool_ = opened.take();
     const core::ModelKind model =
-        core::modelForDialect(source_->meta().dialect());
+        core::modelForDialect(spool_->source().meta().dialect());
     const std::uint8_t myTag = model == core::ModelKind::Async
                                    ? report::kModelTagAsync
                                    : report::kModelTagLooper;
@@ -451,7 +438,7 @@ Session::ensureHotLocked()
     filter_ =
         std::make_unique<report::ResumeFilter>(*checker_, skip);
     engine_ = std::make_unique<core::DetectorEngine>(
-        model, *source_, *filter_, cfg_.detector);
+        model, spool_->source(), *filter_, cfg_.detector);
     obs::ObsContext octx;
     octx.events = cfg_.events;
     engine_->attachObs(octx);
@@ -470,12 +457,12 @@ Session::ensureHotLocked()
 void
 Session::teardownEngineLocked()
 {
-    // Borrow order: engine -> (source, filter) -> checker -> stream.
+    // Borrow order: engine -> (spool, filter) -> checker. The spool
+    // is destroyed whole, so its source goes before its file.
     engine_.reset();
     filter_.reset();
     checker_.reset();
-    source_.reset();
-    spoolIn_.reset();
+    spool_.reset();
 }
 
 void
@@ -489,8 +476,8 @@ Session::handleEndLocked()
         retryOrQuarantineLocked(engine_->runStatus());
         return;
     }
-    if (!source_->ok()) {
-        retryOrQuarantineLocked(source_->status());
+    if (!spool_->source().ok()) {
+        retryOrQuarantineLocked(spool_->source().status());
         return;
     }
     if (finished_) {
@@ -537,7 +524,8 @@ Session::finalizeLocked()
     report::RaceAnalyzer analyzer(engine_->meta());
     report::ReportSummary summary =
         analyzer.analyze(checker_->races(), cfg_.filters);
-    core::appendRunNotes(summary.notes, source_->recordsSkipped(),
+    core::appendRunNotes(summary.notes,
+                         spool_->source().recordsSkipped(),
                          &engine_->counters());
     std::string text = report::renderReportText(analyzer, summary);
     if (Status st = writeFileAtomic(reportPath(), text); !st) {

@@ -11,16 +11,16 @@
  *   <id>.ckpt    ACCP v3 checkpoint of the checker (evicted sessions)
  *   <id>.report  the final race report text (finished sessions)
  *
- * and its hot form is the familiar streaming pipeline — an ifstream
- * over the spool, a Streaming*Source, a FastTrackChecker behind a
- * ResumeFilter, and a DetectorEngine — built lazily and torn down
- * freely. Because the detector is a deterministic function of the
- * spool bytes and the checkpoint is a logical snapshot (see
- * report/checkpoint.hh), a session can be evicted to disk and resumed
- * any number of times, or the whole process can be SIGKILLed and
- * restarted, and the final report stays byte-identical to a
- * single-shot `trace_analyzer analyze --streaming` over the same
- * bytes.
+ * and its hot form is the familiar streaming pipeline — the spool
+ * opened by trace::tryOpenTraceSource (the opener analyze uses), a
+ * FastTrackChecker behind a ResumeFilter, and a DetectorEngine —
+ * built lazily and torn down freely. Because the detector is a
+ * deterministic function of the spool bytes and the checkpoint is a
+ * logical snapshot (see report/checkpoint.hh), a session can be
+ * evicted to disk and resumed any number of times, or the whole
+ * process can be SIGKILLed and restarted, and the final report stays
+ * byte-identical to a single-shot `trace_analyzer analyze` over the
+ * same bytes.
  *
  * Live-edge discipline: streaming decoders treat EOF as truncation,
  * so the pump never decodes within `margin_` bytes of the spool's
@@ -49,6 +49,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "core/config.hh"
@@ -60,7 +61,7 @@
 #include "report/races.hh"
 #include "support/bounded_queue.hh"
 #include "support/status.hh"
-#include "trace/source.hh"
+#include "trace/trace_io.hh"
 
 namespace asyncclock::daemon {
 
@@ -275,10 +276,9 @@ class Session
     std::ofstream spoolOut_;
 
     // Hot pipeline (all null when cold). Teardown order matters:
-    // engine first (borrows source + filter), then filter (borrows
-    // checker), then source (borrows stream).
-    std::unique_ptr<std::ifstream> spoolIn_;
-    std::unique_ptr<trace::TraceSource> source_;
+    // engine first (borrows the spool's source + filter), then
+    // filter (borrows checker); the spool owns its source and file.
+    std::optional<trace::OpenedSource> spool_;
     std::unique_ptr<report::FastTrackChecker> checker_;
     std::unique_ptr<report::ResumeFilter> filter_;
     std::unique_ptr<core::DetectorEngine> engine_;

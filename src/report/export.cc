@@ -10,7 +10,7 @@ namespace {
  * object (caller owns beginObject/endObject). */
 void
 writeSummary(JsonWriter &w, const ReportSummary &summary,
-             const trace::Trace &tr)
+             const trace::TraceMeta &meta)
 {
     w.field("allGroups", summary.allGroups);
     w.field("filteredGroups", summary.filteredGroups);
@@ -23,9 +23,9 @@ writeSummary(JsonWriter &w, const ReportSummary &summary,
         w.beginObject();
         w.field("verdict", verdictName(g.verdict));
         w.field("races", static_cast<std::uint64_t>(g.raceCount));
-        w.field("siteA", tr.site(g.siteA).name);
-        w.field("siteB", tr.site(g.siteB).name);
-        w.field("variable", tr.var(g.sample.var).name);
+        w.field("siteA", meta.site(g.siteA).name);
+        w.field("siteB", meta.site(g.siteB).name);
+        w.field("variable", meta.var(g.sample.var).name);
         w.field("firstAccessWrite", g.sample.prevWrite);
         w.field("secondAccessWrite", g.sample.curWrite);
         w.field("firstOp",
@@ -42,7 +42,7 @@ writeSummary(JsonWriter &w, const ReportSummary &summary,
  * and "prediction" sections. */
 void
 writeTriage(JsonWriter &w, const TriageReport &triage,
-            const trace::Trace &tr)
+            const trace::TraceMeta &meta)
 {
     w.field("classes",
             static_cast<std::uint64_t>(triage.classes.size()));
@@ -51,15 +51,15 @@ writeTriage(JsonWriter &w, const TriageReport &triage,
     w.field("infeasible", triage.infeasible);
     w.field("unverified", triage.unverified);
     auto siteName = [&](trace::SiteId id) -> std::string {
-        return id < tr.sites().size() ? tr.site(id).name
+        return id < meta.sites().size() ? meta.site(id).name
                                       : "<unknown-site>";
     };
     w.key("verdicts").beginArray();
     for (const TriageClass &cls : triage.classes) {
         w.beginObject();
         w.field("verdict", replayVerdictName(cls.verdict));
-        w.field("variable", cls.var < tr.vars().size()
-                                ? tr.var(cls.var).name
+        w.field("variable", cls.var < meta.vars().size()
+                                ? meta.var(cls.var).name
                                 : "<unknown-var>");
         w.field("firstSite", siteName(cls.firstSite));
         w.field("secondSite", siteName(cls.secondSite));
@@ -77,24 +77,24 @@ writeTriage(JsonWriter &w, const TriageReport &triage,
 } // namespace
 
 std::string
-toJson(const ReportSummary &summary, const trace::Trace &tr)
+toJson(const ReportSummary &summary, const trace::TraceMeta &meta)
 {
     JsonWriter w;
     w.beginObject();
-    writeSummary(w, summary, tr);
+    writeSummary(w, summary, meta);
     w.endObject();
     return w.str();
 }
 
 std::string
 toJson(const ReportSummary &summary, const TriageReport &triage,
-       const trace::Trace &tr)
+       const trace::TraceMeta &meta)
 {
     JsonWriter w;
     w.beginObject();
-    writeSummary(w, summary, tr);
+    writeSummary(w, summary, meta);
     w.key("verification").beginObject();
-    writeTriage(w, triage, tr);
+    writeTriage(w, triage, meta);
     w.endObject();
     w.endObject();
     return w.str();
@@ -102,13 +102,13 @@ toJson(const ReportSummary &summary, const TriageReport &triage,
 
 std::string
 toJson(const ReportSummary &summary, const TriageReport &triage,
-       const PredictionExport &prediction, const trace::Trace &tr)
+       const PredictionExport &prediction, const trace::TraceMeta &meta)
 {
     JsonWriter w;
     w.beginObject();
-    writeSummary(w, summary, tr);
+    writeSummary(w, summary, meta);
     w.key("verification").beginObject();
-    writeTriage(w, triage, tr);
+    writeTriage(w, triage, meta);
     w.endObject();
     w.key("prediction").beginObject();
     w.field("candidates", prediction.candidates);
@@ -119,7 +119,7 @@ toJson(const ReportSummary &summary, const TriageReport &triage,
     w.field("capDrops", prediction.capDrops);
     w.field("malformedDropped", prediction.malformedDropped);
     if (prediction.triage)
-        writeTriage(w, *prediction.triage, tr);
+        writeTriage(w, *prediction.triage, meta);
     if (prediction.recallScored) {
         w.key("recall").beginObject();
         w.field("weakRaces", prediction.weakRaces);

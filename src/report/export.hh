@@ -15,18 +15,21 @@
 
 #include "report/races.hh"
 #include "report/triage.hh"
+#include "trace/source.hh"
 #include "trace/trace.hh"
 
 namespace asyncclock::report {
 
-/** Render a full analysis report as a JSON document. */
+/** Render a full analysis report as a JSON document; @p meta names
+ * the sites and variables. */
 std::string toJson(const ReportSummary &summary,
-                   const trace::Trace &tr);
+                   const trace::TraceMeta &meta);
 
 /** As above, plus a "verification" section carrying the triage
  * classes and their replay verdicts. */
 std::string toJson(const ReportSummary &summary,
-                   const TriageReport &triage, const trace::Trace &tr);
+                   const TriageReport &triage,
+                   const trace::TraceMeta &meta);
 
 /**
  * Data for the "prediction" section. The predictive tier lives above
@@ -58,7 +61,7 @@ struct PredictionExport
 std::string toJson(const ReportSummary &summary,
                    const TriageReport &triage,
                    const PredictionExport &prediction,
-                   const trace::Trace &tr);
+                   const trace::TraceMeta &meta);
 
 /** Render trace statistics as a JSON object. */
 std::string toJson(const trace::TraceStats &stats);

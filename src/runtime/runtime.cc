@@ -111,10 +111,9 @@ struct Runtime::Impl
     /** Entity-id allocation and (in materializing mode) op storage.
      * In sink mode only the entity tables grow — O(entities). */
     trace::Trace trace;
-    trace::TraceBuildSink ownSink{trace};
     /** Where operations go: the internal trace by default, the
      * caller's sink in runToSink mode. */
-    trace::TraceSink *sink = &ownSink;
+    trace::TraceSink *sink = &trace;
     /** Non-null in runToSink mode: mid-run entity declarations are
      * forwarded here so the sink's tables keep pace with the ops. */
     trace::TraceSink *ext = nullptr;
@@ -147,7 +146,7 @@ struct Runtime::Impl
     EventId
     newEvent()
     {
-        EventId e = trace.addEvent();
+        EventId e = trace.declEvent();
         if (ext)
             ext->declEvent();
         return e;
@@ -157,7 +156,7 @@ struct Runtime::Impl
     newWorkerThread(const std::string &name)
     {
         ThreadId t =
-            trace.addThread(trace::ThreadKind::Worker, name);
+            trace.declThread(trace::ThreadKind::Worker, name);
         if (ext) {
             ext->declThread(trace::ThreadKind::Worker, name,
                             kInvalidId);
@@ -297,9 +296,9 @@ trace::QueueId
 Runtime::addLooper(const std::string &name)
 {
     acAssert(!impl_->ran, "runtime already ran");
-    QueueId q = impl_->trace.addQueue(trace::QueueKind::Looper, name);
-    ThreadId t = impl_->trace.addThread(trace::ThreadKind::Looper,
-                                        name + ".looper", q);
+    QueueId q = impl_->trace.declQueue(trace::QueueKind::Looper, name);
+    ThreadId t = impl_->trace.declThread(trace::ThreadKind::Looper,
+                                         name + ".looper", q);
     impl_->trace.bindLooper(q, t);
 
     Fiber f;
@@ -322,12 +321,12 @@ Runtime::addBinderPool(const std::string &name, unsigned threads)
 {
     acAssert(!impl_->ran, "runtime already ran");
     acAssert(threads > 0, "binder pool needs at least one thread");
-    QueueId q = impl_->trace.addQueue(trace::QueueKind::Binder, name);
+    QueueId q = impl_->trace.declQueue(trace::QueueKind::Binder, name);
     QueueState qs;
     qs.id = q;
     qs.binder = true;
     for (unsigned i = 0; i < threads; ++i) {
-        ThreadId t = impl_->trace.addThread(
+        ThreadId t = impl_->trace.declThread(
             trace::ThreadKind::Binder,
             strf("%s.binder%u", name.c_str(), i), q);
         Fiber f;
@@ -347,13 +346,13 @@ Runtime::addBinderPool(const std::string &name, unsigned threads)
 trace::VarId
 Runtime::var(const std::string &name, trace::SeedLabel label)
 {
-    return impl_->trace.addVar(name, label);
+    return impl_->trace.declVar(name, label);
 }
 
 trace::HandleId
 Runtime::handle(const std::string &name)
 {
-    HandleId h = impl_->trace.addHandle(name);
+    HandleId h = impl_->trace.declHandle(name);
     impl_->handles.resize(h + 1);
     return h;
 }
@@ -362,7 +361,7 @@ trace::SiteId
 Runtime::site(const std::string &name, trace::Frame frame,
               std::uint32_t commGroup)
 {
-    return impl_->trace.addSite(name, frame, commGroup);
+    return impl_->trace.declSite(name, frame, commGroup);
 }
 
 Token
@@ -378,7 +377,7 @@ Runtime::spawnWorker(const std::string &name, Script script,
 {
     acAssert(!impl_->ran, "runtime already ran");
     ThreadId t =
-        impl_->trace.addThread(trace::ThreadKind::Worker, name);
+        impl_->trace.declThread(trace::ThreadKind::Worker, name);
     Fiber f;
     f.thread = t;
     f.script = std::make_shared<const Script>(std::move(script));

@@ -365,24 +365,24 @@ TaskGraph::run(TaskGraphRunInfo *info)
     tr.setDialect(trace::Dialect::Async);
     tr_ = &tr;
 
-    mainThread_ = tr.addThread(trace::ThreadKind::Worker, "main");
+    mainThread_ = tr.declThread(trace::ThreadKind::Worker, "main");
     executorThreads_.clear();
     for (std::uint32_t i = 0; i < cfg_.executors; ++i) {
         executorThreads_.push_back(
-            tr.addThread(trace::ThreadKind::Worker, strf("exec%u", i)));
+            tr.declThread(trace::ThreadKind::Worker, strf("exec%u", i)));
         freeExecutors_.push_back(executorThreads_.back());
     }
     for (auto &spec : varSpecs_)
-        tr.addVar(spec.name, spec.label);
+        tr.declVar(spec.name, spec.label);
     for (auto &spec : siteSpecs_)
-        tr.addSite(spec.name, spec.frame, spec.commGroup);
+        tr.declSite(spec.name, spec.frame, spec.commGroup);
     for (auto &node : nodes_)
-        node.event = tr.addEvent();
+        node.event = tr.declEvent();
     if (main_.spawns)
-        main_.scope = tr.addHandle("main.scope");
+        main_.scope = tr.declHandle("main.scope");
     for (auto &node : nodes_) {
         if (node.spawns)
-            node.scope = tr.addHandle(node.name + ".scope");
+            node.scope = tr.declHandle(node.name + ".scope");
     }
     executorOf_.assign(nodes_.size(), kInvalidId);
 

@@ -2,11 +2,10 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
+#include <istream>
 #include <thread>
 
 #include "support/format.hh"
-#include "trace/trace_io.hh"
 
 namespace asyncclock::trace {
 
@@ -220,53 +219,6 @@ FaultInjectingSource::next(Operation &op)
         ++dups_;
     }
     return true;
-}
-
-// ----- openFaultyTraceSource ------------------------------------------
-
-Expected<FaultyOpenedSource>
-openFaultyTraceSource(const std::string &path,
-                      const FaultConfig &faults,
-                      SourceErrorPolicy policy)
-{
-    Expected<bool> binary = tryIsBinaryTraceFile(path);
-    if (!binary)
-        return binary.status();
-    auto file = std::make_unique<std::ifstream>(
-        path, binary.value() ? std::ios::binary : std::ios::in);
-    if (!*file)
-        return Status::error(ErrCode::IoError, "cannot open " + path);
-
-    FaultyOpenedSource out;
-    std::istream *decoderStream = file.get();
-    if (faults.anyByteFaults()) {
-        out.faultBuf =
-            std::make_unique<FaultyStreamBuf>(*file, faults);
-        out.faultStream =
-            std::make_unique<std::istream>(out.faultBuf.get());
-        decoderStream = out.faultStream.get();
-    }
-    std::unique_ptr<TraceSource> inner;
-    if (binary.value()) {
-        inner = std::make_unique<StreamingBinarySource>(
-            *decoderStream, policy);
-    } else {
-        inner = std::make_unique<StreamingTextSource>(*decoderStream,
-                                                      policy);
-    }
-    // Header damage (magic/version under a byte fault) surfaces as a
-    // structured status, not an abort.
-    if (!inner->ok())
-        return inner->status();
-    out.file = std::move(file);
-    if (faults.anyOpFaults()) {
-        out.source = std::make_unique<FaultInjectingSource>(*inner,
-                                                            faults);
-        out.inner = std::move(inner);
-    } else {
-        out.source = std::move(inner);
-    }
-    return out;
 }
 
 } // namespace asyncclock::trace

@@ -19,15 +19,16 @@
  *
  * The same FaultConfig drives tests and `trace_analyzer --inject`;
  * parseFaultSpec() turns the CLI's "flip=1e-4,seed=7" syntax into a
- * config. All randomness flows through support/rng.hh, so a (spec,
- * trace) pair replays bit-identically on any platform.
+ * config, and tryOpenTraceSource() (trace_io.hh) layers its byte and
+ * op faults between a trace file and the detector. All randomness
+ * flows through support/rng.hh, so a (spec, trace) pair replays
+ * bit-identically on any platform.
  */
 
 #ifndef ASYNCCLOCK_TRACE_FAULT_HH
 #define ASYNCCLOCK_TRACE_FAULT_HH
 
 #include <cstdint>
-#include <memory>
 #include <streambuf>
 #include <string>
 
@@ -196,30 +197,6 @@ class FaultInjectingSource : public TraceSource
     std::uint64_t reorders_ = 0;
     std::uint64_t drops_ = 0;
 };
-
-/**
- * Everything openFaultyTraceSource() allocates, kept alive together:
- * the file stream, the fault-injecting buffer layered over it, and
- * the source chain. `source` is what the detector consumes.
- */
-struct FaultyOpenedSource
-{
-    std::unique_ptr<std::istream> file;
-    std::unique_ptr<FaultyStreamBuf> faultBuf;
-    std::unique_ptr<std::istream> faultStream;
-    std::unique_ptr<TraceSource> inner;
-    std::unique_ptr<TraceSource> source;
-};
-
-/**
- * Open @p path as a streaming source (format auto-detected from the
- * *un-faulted* file) with @p faults injected and @p policy as the
- * decoder's error budget.
- */
-Expected<FaultyOpenedSource>
-openFaultyTraceSource(const std::string &path,
-                      const FaultConfig &faults,
-                      SourceErrorPolicy policy = {});
 
 } // namespace asyncclock::trace
 

@@ -2,149 +2,6 @@
 
 namespace asyncclock::trace {
 
-namespace {
-
-Operation
-makeOp(OpKind kind, Task task, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = kind;
-    op.task = task;
-    op.vtime = vtime;
-    return op;
-}
-
-} // namespace
-
-void
-TraceSink::threadBegin(ThreadId t, std::uint64_t vtime)
-{
-    emit(makeOp(OpKind::ThreadBegin, Task::thread(t), vtime));
-}
-
-void
-TraceSink::threadEnd(ThreadId t, std::uint64_t vtime)
-{
-    emit(makeOp(OpKind::ThreadEnd, Task::thread(t), vtime));
-}
-
-void
-TraceSink::eventBegin(EventId e, ThreadId executor, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::EventBegin, Task::event(e), vtime);
-    op.target = executor;
-    emit(op);
-}
-
-void
-TraceSink::eventEnd(EventId e, std::uint64_t vtime)
-{
-    emit(makeOp(OpKind::EventEnd, Task::event(e), vtime));
-}
-
-void
-TraceSink::read(Task task, VarId var, SiteId site, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::Read, task, vtime);
-    op.target = var;
-    op.site = site;
-    emit(op);
-}
-
-void
-TraceSink::write(Task task, VarId var, SiteId site, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::Write, task, vtime);
-    op.target = var;
-    op.site = site;
-    emit(op);
-}
-
-void
-TraceSink::fork(Task task, ThreadId child, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::Fork, task, vtime);
-    op.target = child;
-    emit(op);
-}
-
-void
-TraceSink::join(Task task, ThreadId child, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::Join, task, vtime);
-    op.target = child;
-    emit(op);
-}
-
-void
-TraceSink::signal(Task task, HandleId handle, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::Signal, task, vtime);
-    op.target = handle;
-    emit(op);
-}
-
-void
-TraceSink::wait(Task task, HandleId handle, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::Wait, task, vtime);
-    op.target = handle;
-    emit(op);
-}
-
-void
-TraceSink::send(Task task, QueueId queue, EventId event,
-                const SendAttrs &attrs, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::Send, task, vtime);
-    op.target = queue;
-    op.event = event;
-    op.attrs = attrs;
-    emit(op);
-}
-
-void
-TraceSink::removeEvent(Task task, EventId event, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::RemoveEvent, task, vtime);
-    op.event = event;
-    emit(op);
-}
-
-void
-TraceSink::taskSpawn(Task task, EventId child, HandleId scope,
-                     std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::TaskSpawn, task, vtime);
-    op.target = scope;
-    op.event = child;
-    emit(op);
-}
-
-void
-TraceSink::taskAwait(Task task, EventId child, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::TaskAwait, task, vtime);
-    op.event = child;
-    emit(op);
-}
-
-void
-TraceSink::scopeEnd(Task task, HandleId scope, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::ScopeEnd, task, vtime);
-    op.target = scope;
-    emit(op);
-}
-
-void
-TraceSink::taskCancel(Task task, EventId child, std::uint64_t vtime)
-{
-    Operation op = makeOp(OpKind::TaskCancel, task, vtime);
-    op.event = child;
-    emit(op);
-}
-
 TraceMeta
 TraceMeta::fromTrace(const Trace &tr)
 {

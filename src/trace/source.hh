@@ -8,9 +8,10 @@
  * decouples trace *storage* from trace *consumption* so million-op
  * traces never fully materialize:
  *
- *  - TraceSink / EntitySink: push interface a producer (the simulated
- *    runtime, a format writer) emits entity declarations and
- *    operations into.
+ *  - TraceSink / EntitySink (trace/trace.hh): push interface a
+ *    producer (the simulated runtime, a format reader or writer)
+ *    emits entity declarations and operations into; trace::Trace is
+ *    the sink that materializes them.
  *  - TraceMeta: the entity tables alone — threads, queues, vars,
  *    handles, sites, and a per-event {queue, attrs} record filled in
  *    when the event's send streams past. This is all the metadata the
@@ -51,99 +52,6 @@ namespace asyncclock::trace {
 struct SourceErrorPolicy
 {
     std::uint64_t maxRecordErrors = 0;
-};
-
-/** Push interface for entity declarations. Ids are allocated densely
- * per table, in declaration order. */
-class EntitySink
-{
-  public:
-    virtual ~EntitySink() = default;
-
-    virtual ThreadId declThread(ThreadKind kind, std::string name,
-                                QueueId queue) = 0;
-    virtual QueueId declQueue(QueueKind kind, std::string name) = 0;
-    virtual void bindLooper(QueueId queue, ThreadId looper) = 0;
-    virtual EventId declEvent() = 0;
-    virtual VarId declVar(std::string name, SeedLabel label) = 0;
-    virtual HandleId declHandle(std::string name) = 0;
-    virtual SiteId declSite(std::string name, Frame frame,
-                            std::uint32_t commGroup) = 0;
-};
-
-/** Push interface for a full trace: entity declarations plus the
- * operation stream, with convenience emitters mirroring the Trace
- * appenders. */
-class TraceSink : public EntitySink
-{
-  public:
-    virtual void emit(const Operation &op) = 0;
-
-    // ----- convenience emitters -------------------------------------
-    void threadBegin(ThreadId t, std::uint64_t vtime);
-    void threadEnd(ThreadId t, std::uint64_t vtime);
-    void eventBegin(EventId e, ThreadId executor, std::uint64_t vtime);
-    void eventEnd(EventId e, std::uint64_t vtime);
-    void read(Task task, VarId var, SiteId site, std::uint64_t vtime);
-    void write(Task task, VarId var, SiteId site, std::uint64_t vtime);
-    void fork(Task task, ThreadId child, std::uint64_t vtime);
-    void join(Task task, ThreadId child, std::uint64_t vtime);
-    void signal(Task task, HandleId handle, std::uint64_t vtime);
-    void wait(Task task, HandleId handle, std::uint64_t vtime);
-    void send(Task task, QueueId queue, EventId event,
-              const SendAttrs &attrs, std::uint64_t vtime);
-    void removeEvent(Task task, EventId event, std::uint64_t vtime);
-
-    // Async-dialect emitters (events stand in for tasks).
-    void taskSpawn(Task task, EventId child, HandleId scope,
-                   std::uint64_t vtime);
-    void taskAwait(Task task, EventId child, std::uint64_t vtime);
-    void scopeEnd(Task task, HandleId scope, std::uint64_t vtime);
-    void taskCancel(Task task, EventId child, std::uint64_t vtime);
-};
-
-/** TraceSink adapter materializing into a trace::Trace. */
-class TraceBuildSink : public TraceSink
-{
-  public:
-    explicit TraceBuildSink(Trace &tr) : trace_(tr) {}
-
-    ThreadId
-    declThread(ThreadKind kind, std::string name, QueueId queue) override
-    {
-        return trace_.addThread(kind, std::move(name), queue);
-    }
-    QueueId
-    declQueue(QueueKind kind, std::string name) override
-    {
-        return trace_.addQueue(kind, std::move(name));
-    }
-    void
-    bindLooper(QueueId queue, ThreadId looper) override
-    {
-        trace_.bindLooper(queue, looper);
-    }
-    EventId declEvent() override { return trace_.addEvent(); }
-    VarId
-    declVar(std::string name, SeedLabel label) override
-    {
-        return trace_.addVar(std::move(name), label);
-    }
-    HandleId
-    declHandle(std::string name) override
-    {
-        return trace_.addHandle(std::move(name));
-    }
-    SiteId
-    declSite(std::string name, Frame frame,
-             std::uint32_t commGroup) override
-    {
-        return trace_.addSite(std::move(name), frame, commGroup);
-    }
-    void emit(const Operation &op) override { trace_.append(op); }
-
-  private:
-    Trace &trace_;
 };
 
 /** Per-event record of a TraceMeta: the queueing facts the detectors

@@ -56,43 +56,190 @@ seedLabelName(SeedLabel label)
     return "?";
 }
 
+// ----- TraceSink convenience emitters --------------------------------
+
+namespace {
+
+Operation
+makeOp(OpKind kind, Task task, std::uint64_t vtime)
+{
+    Operation op;
+    op.kind = kind;
+    op.task = task;
+    op.vtime = vtime;
+    return op;
+}
+
+} // namespace
+
+void
+TraceSink::threadBegin(ThreadId t, std::uint64_t vtime)
+{
+    emit(makeOp(OpKind::ThreadBegin, Task::thread(t), vtime));
+}
+
+void
+TraceSink::threadEnd(ThreadId t, std::uint64_t vtime)
+{
+    emit(makeOp(OpKind::ThreadEnd, Task::thread(t), vtime));
+}
+
+void
+TraceSink::eventBegin(EventId e, ThreadId executor, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::EventBegin, Task::event(e), vtime);
+    op.target = executor;
+    emit(op);
+}
+
+void
+TraceSink::eventEnd(EventId e, std::uint64_t vtime)
+{
+    emit(makeOp(OpKind::EventEnd, Task::event(e), vtime));
+}
+
+void
+TraceSink::read(Task task, VarId var, SiteId site, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::Read, task, vtime);
+    op.target = var;
+    op.site = site;
+    emit(op);
+}
+
+void
+TraceSink::write(Task task, VarId var, SiteId site, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::Write, task, vtime);
+    op.target = var;
+    op.site = site;
+    emit(op);
+}
+
+void
+TraceSink::fork(Task task, ThreadId child, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::Fork, task, vtime);
+    op.target = child;
+    emit(op);
+}
+
+void
+TraceSink::join(Task task, ThreadId child, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::Join, task, vtime);
+    op.target = child;
+    emit(op);
+}
+
+void
+TraceSink::signal(Task task, HandleId handle, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::Signal, task, vtime);
+    op.target = handle;
+    emit(op);
+}
+
+void
+TraceSink::wait(Task task, HandleId handle, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::Wait, task, vtime);
+    op.target = handle;
+    emit(op);
+}
+
+void
+TraceSink::send(Task task, QueueId queue, EventId event,
+                const SendAttrs &attrs, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::Send, task, vtime);
+    op.target = queue;
+    op.event = event;
+    op.attrs = attrs;
+    emit(op);
+}
+
+void
+TraceSink::removeEvent(Task task, EventId event, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::RemoveEvent, task, vtime);
+    op.event = event;
+    emit(op);
+}
+
+void
+TraceSink::taskSpawn(Task task, EventId child, HandleId scope,
+                     std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::TaskSpawn, task, vtime);
+    op.target = scope;
+    op.event = child;
+    emit(op);
+}
+
+void
+TraceSink::taskAwait(Task task, EventId child, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::TaskAwait, task, vtime);
+    op.event = child;
+    emit(op);
+}
+
+void
+TraceSink::scopeEnd(Task task, HandleId scope, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::ScopeEnd, task, vtime);
+    op.target = scope;
+    emit(op);
+}
+
+void
+TraceSink::taskCancel(Task task, EventId child, std::uint64_t vtime)
+{
+    Operation op = makeOp(OpKind::TaskCancel, task, vtime);
+    op.event = child;
+    emit(op);
+}
+
+// ----- Trace ------------------------------------------------------------
+
 ThreadId
-Trace::addThread(ThreadKind kind, std::string name, QueueId queue)
+Trace::declThread(ThreadKind kind, std::string name, QueueId queue)
 {
     threads_.push_back({kind, queue, std::move(name)});
     return static_cast<ThreadId>(threads_.size() - 1);
 }
 
 QueueId
-Trace::addQueue(QueueKind kind, std::string name)
+Trace::declQueue(QueueKind kind, std::string name)
 {
     queues_.push_back({kind, kInvalidId, std::move(name)});
     return static_cast<QueueId>(queues_.size() - 1);
 }
 
 EventId
-Trace::addEvent()
+Trace::declEvent()
 {
     events_.push_back({});
     return static_cast<EventId>(events_.size() - 1);
 }
 
 VarId
-Trace::addVar(std::string name, SeedLabel label)
+Trace::declVar(std::string name, SeedLabel label)
 {
     vars_.push_back({std::move(name), label});
     return static_cast<VarId>(vars_.size() - 1);
 }
 
 HandleId
-Trace::addHandle(std::string name)
+Trace::declHandle(std::string name)
 {
     handles_.push_back({std::move(name)});
     return static_cast<HandleId>(handles_.size() - 1);
 }
 
 SiteId
-Trace::addSite(std::string name, Frame frame, std::uint32_t commGroup)
+Trace::declSite(std::string name, Frame frame, std::uint32_t commGroup)
 {
     sites_.push_back({std::move(name), frame, commGroup});
     return static_cast<SiteId>(sites_.size() - 1);
@@ -101,12 +248,14 @@ Trace::addSite(std::string name, Frame frame, std::uint32_t commGroup)
 void
 Trace::bindLooper(QueueId queue, ThreadId looper)
 {
+    if (queue >= queues_.size() || looper >= threads_.size())
+        return;
     queues_[queue].looper = looper;
     threads_[looper].queue = queue;
 }
 
-OpId
-Trace::append(const Operation &op)
+void
+Trace::emit(const Operation &op)
 {
     OpId id = static_cast<OpId>(ops_.size());
     switch (op.kind) {
@@ -147,187 +296,6 @@ Trace::append(const Operation &op)
         break;
     }
     ops_.push_back(op);
-    return id;
-}
-
-OpId
-Trace::threadBegin(ThreadId t, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::ThreadBegin;
-    op.task = Task::thread(t);
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::threadEnd(ThreadId t, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::ThreadEnd;
-    op.task = Task::thread(t);
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::eventBegin(EventId e, ThreadId executor, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::EventBegin;
-    op.task = Task::event(e);
-    op.target = executor;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::eventEnd(EventId e, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::EventEnd;
-    op.task = Task::event(e);
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::read(Task task, VarId var, SiteId site, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::Read;
-    op.task = task;
-    op.target = var;
-    op.site = site;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::write(Task task, VarId var, SiteId site, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::Write;
-    op.task = task;
-    op.target = var;
-    op.site = site;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::fork(Task task, ThreadId child, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::Fork;
-    op.task = task;
-    op.target = child;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::join(Task task, ThreadId child, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::Join;
-    op.task = task;
-    op.target = child;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::signal(Task task, HandleId handle, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::Signal;
-    op.task = task;
-    op.target = handle;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::wait(Task task, HandleId handle, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::Wait;
-    op.task = task;
-    op.target = handle;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::send(Task task, QueueId queue, EventId event,
-            const SendAttrs &attrs, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::Send;
-    op.task = task;
-    op.target = queue;
-    op.event = event;
-    op.attrs = attrs;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::removeEvent(Task task, EventId event, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::RemoveEvent;
-    op.task = task;
-    op.event = event;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::taskSpawn(Task task, EventId child, HandleId scope,
-                 std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::TaskSpawn;
-    op.task = task;
-    op.target = scope;
-    op.event = child;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::taskAwait(Task task, EventId child, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::TaskAwait;
-    op.task = task;
-    op.event = child;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::scopeEnd(Task task, HandleId scope, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::ScopeEnd;
-    op.task = task;
-    op.target = scope;
-    op.vtime = vtime;
-    return append(op);
-}
-
-OpId
-Trace::taskCancel(Task task, EventId child, std::uint64_t vtime)
-{
-    Operation op;
-    op.kind = OpKind::TaskCancel;
-    op.task = task;
-    op.event = child;
-    op.vtime = vtime;
-    return append(op);
 }
 
 ThreadId

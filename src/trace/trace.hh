@@ -4,8 +4,9 @@
  * handles, source sites) plus the operation sequence of section 2.2.
  *
  * A Trace is produced by the simulated runtime (src/runtime) or read
- * from a file (trace/trace_io.hh) and consumed operation-by-operation
- * by the detectors. It also carries the workload generator's ground
+ * from a file (trace/trace_io.hh), both writing through the TraceSink
+ * interface declared here, and consumed operation-by-operation by the
+ * detectors. It also carries the workload generator's ground
  * truth (seeded race labels) so experiments can score reports.
  */
 
@@ -132,56 +133,86 @@ struct TraceStats
     std::string summary() const;
 };
 
+/** Push interface for entity declarations. Ids are allocated densely
+ * per table, in declaration order. */
+class EntitySink
+{
+  public:
+    virtual ~EntitySink() = default;
+
+    virtual ThreadId declThread(ThreadKind kind, std::string name,
+                                QueueId queue) = 0;
+    virtual QueueId declQueue(QueueKind kind, std::string name) = 0;
+    virtual void bindLooper(QueueId queue, ThreadId looper) = 0;
+    virtual EventId declEvent() = 0;
+    virtual VarId declVar(std::string name, SeedLabel label) = 0;
+    virtual HandleId declHandle(std::string name) = 0;
+    virtual SiteId declSite(std::string name, Frame frame,
+                            std::uint32_t commGroup) = 0;
+};
+
+/** Push interface for a full trace: entity declarations plus the
+ * operation stream. Producers hand ops to emit(), directly or through
+ * the convenience emitters, each of which builds one Operation. */
+class TraceSink : public EntitySink
+{
+  public:
+    virtual void emit(const Operation &op) = 0;
+
+    // ----- convenience emitters (executing task + vtime) -----------
+    void threadBegin(ThreadId t, std::uint64_t vtime);
+    void threadEnd(ThreadId t, std::uint64_t vtime);
+    void eventBegin(EventId e, ThreadId executor, std::uint64_t vtime);
+    void eventEnd(EventId e, std::uint64_t vtime);
+    void read(Task task, VarId var, SiteId site, std::uint64_t vtime);
+    void write(Task task, VarId var, SiteId site, std::uint64_t vtime);
+    void fork(Task task, ThreadId child, std::uint64_t vtime);
+    void join(Task task, ThreadId child, std::uint64_t vtime);
+    void signal(Task task, HandleId handle, std::uint64_t vtime);
+    void wait(Task task, HandleId handle, std::uint64_t vtime);
+    void send(Task task, QueueId queue, EventId event,
+              const SendAttrs &attrs, std::uint64_t vtime);
+    void removeEvent(Task task, EventId event, std::uint64_t vtime);
+
+    // Async-dialect emitters (events stand in for tasks).
+    void taskSpawn(Task task, EventId child, HandleId scope,
+                   std::uint64_t vtime);
+    void taskAwait(Task task, EventId child, std::uint64_t vtime);
+    void scopeEnd(Task task, HandleId scope, std::uint64_t vtime);
+    void taskCancel(Task task, EventId child, std::uint64_t vtime);
+};
+
 /**
  * The trace: entity tables plus the operation sequence.
  *
- * Building: addThread/addQueue/... then append() ops in execution
- * order. append() maintains the EventInfo op cross-links. validate()
- * checks well-formedness and the queueing-discipline guarantees the
- * causality model relies on.
+ * A Trace is itself the TraceSink that materializes a trace: declare
+ * entities, then emit() ops (directly or through the convenience
+ * emitters) in execution order. emit() maintains the EventInfo op
+ * cross-links. validate() checks well-formedness and the
+ * queueing-discipline guarantees the causality model relies on.
  */
-class Trace
+class Trace final : public TraceSink
 {
   public:
-    // ----- entity construction ------------------------------------
-    ThreadId addThread(ThreadKind kind, std::string name,
-                       QueueId queue = kInvalidId);
-    QueueId addQueue(QueueKind kind, std::string name);
-    EventId addEvent();
-    VarId addVar(std::string name, SeedLabel label = SeedLabel::None);
-    HandleId addHandle(std::string name);
-    SiteId addSite(std::string name, Frame frame,
-                   std::uint32_t commGroup = kInvalidId);
+    // ----- EntitySink -----------------------------------------------
+    // The trailing defaults serve hand-built traces (tests, fixed
+    // patterns); calls through an EntitySink pass every argument.
+    ThreadId declThread(ThreadKind kind, std::string name,
+                        QueueId queue = kInvalidId) override;
+    QueueId declQueue(QueueKind kind, std::string name) override;
+    /** Bind a looper thread to its queue (after both exist); ids out
+     * of range (a malformed file) drop the binding. */
+    void bindLooper(QueueId queue, ThreadId looper) override;
+    EventId declEvent() override;
+    VarId declVar(std::string name,
+                  SeedLabel label = SeedLabel::None) override;
+    HandleId declHandle(std::string name) override;
+    SiteId declSite(std::string name, Frame frame,
+                    std::uint32_t commGroup = kInvalidId) override;
 
-    /** Bind a looper thread to its queue (after both exist). */
-    void bindLooper(QueueId queue, ThreadId looper);
-
-    // ----- operation construction ---------------------------------
-    /** Append an operation; updates event cross-links. Returns its
-     * OpId. */
-    OpId append(const Operation &op);
-
-    // Convenience appenders (all take the executing task + vtime).
-    OpId threadBegin(ThreadId t, std::uint64_t vtime);
-    OpId threadEnd(ThreadId t, std::uint64_t vtime);
-    OpId eventBegin(EventId e, ThreadId executor, std::uint64_t vtime);
-    OpId eventEnd(EventId e, std::uint64_t vtime);
-    OpId read(Task task, VarId var, SiteId site, std::uint64_t vtime);
-    OpId write(Task task, VarId var, SiteId site, std::uint64_t vtime);
-    OpId fork(Task task, ThreadId child, std::uint64_t vtime);
-    OpId join(Task task, ThreadId child, std::uint64_t vtime);
-    OpId signal(Task task, HandleId handle, std::uint64_t vtime);
-    OpId wait(Task task, HandleId handle, std::uint64_t vtime);
-    OpId send(Task task, QueueId queue, EventId event,
-              const SendAttrs &attrs, std::uint64_t vtime);
-    OpId removeEvent(Task task, EventId event, std::uint64_t vtime);
-
-    // Async-dialect appenders (events stand in for tasks).
-    OpId taskSpawn(Task task, EventId child, HandleId scope,
-                   std::uint64_t vtime);
-    OpId taskAwait(Task task, EventId child, std::uint64_t vtime);
-    OpId scopeEnd(Task task, HandleId scope, std::uint64_t vtime);
-    OpId taskCancel(Task task, EventId child, std::uint64_t vtime);
+    // ----- TraceSink ------------------------------------------------
+    /** Append an operation; updates event cross-links. */
+    void emit(const Operation &op) override;
 
     // ----- access ---------------------------------------------------
     const std::vector<Operation> &ops() const { return ops_; }

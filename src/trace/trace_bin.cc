@@ -734,12 +734,11 @@ readBinaryTrace(std::istream &in, Trace &tr, std::string &error)
         return false;
     }
     tr.setDialect(dec.dialect());
-    TraceBuildSink sink(tr);
     bool isOp = false;
     Operation op;
-    while (dec.nextRecord(sink, isOp, op)) {
+    while (dec.nextRecord(tr, isOp, op)) {
         if (isOp)
-            tr.append(op);
+            tr.emit(op);
     }
     if (!dec.ok()) {
         error = dec.error();
@@ -779,30 +778,6 @@ saveBinaryTraceFile(const Trace &tr, const std::string &path)
     Status st = trySaveBinaryTraceFile(tr, path);
     if (!st)
         fatal(st.toString());
-}
-
-Expected<Trace>
-tryLoadBinaryTraceFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return Status::error(ErrCode::IoError, "cannot open " + path);
-    Trace tr;
-    std::string error;
-    if (!readBinaryTrace(in, tr, error)) {
-        return Status::error(ErrCode::ParseError,
-                             "parsing " + path + ": " + error);
-    }
-    return tr;
-}
-
-Trace
-loadBinaryTraceFile(const std::string &path)
-{
-    Expected<Trace> tr = tryLoadBinaryTraceFile(path);
-    if (!tr)
-        fatal(tr.status().toString());
-    return tr.take();
 }
 
 // ----- StreamingBinarySource ------------------------------------------
@@ -871,10 +846,13 @@ StreamingBinarySource::containerBytes() const
     return sizeof(Impl);
 }
 
-// ----- format-agnostic helpers ----------------------------------------
+// ----- trace files, either format -----------------------------------
 
+namespace {
+
+/** Does @p path start with the binary magic? */
 Expected<bool>
-tryIsBinaryTraceFile(const std::string &path)
+hasBinaryMagic(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -884,52 +862,62 @@ tryIsBinaryTraceFile(const std::string &path)
     return in && std::memcmp(magic, kBinaryMagic, 4) == 0;
 }
 
-bool
-isBinaryTraceFile(const std::string &path)
-{
-    Expected<bool> binary = tryIsBinaryTraceFile(path);
-    if (!binary)
-        fatal(binary.status().toString());
-    return binary.value();
-}
+} // namespace
 
 Expected<OpenedSource>
-tryOpenTraceSource(const std::string &path, SourceErrorPolicy policy)
+tryOpenTraceSource(const std::string &path, SourceErrorPolicy policy,
+                   const FaultConfig &faults)
 {
-    Expected<bool> binary = tryIsBinaryTraceFile(path);
+    Expected<bool> binary = hasBinaryMagic(path);
     if (!binary)
         return binary.status();
-    auto stream = std::make_unique<std::ifstream>(
-        path, binary.value() ? std::ios::binary : std::ios::in);
-    if (!*stream)
+    OpenedSource out;
+    out.binary = binary.value();
+    out.file = std::make_unique<std::ifstream>(path, std::ios::binary);
+    if (!*out.file)
         return Status::error(ErrCode::IoError, "cannot open " + path);
-    std::unique_ptr<TraceSource> source;
-    if (binary.value()) {
-        source =
-            std::make_unique<StreamingBinarySource>(*stream, policy);
-    } else {
-        source =
-            std::make_unique<StreamingTextSource>(*stream, policy);
+    std::istream *bytes = out.file.get();
+    if (faults.anyByteFaults()) {
+        out.faultBuf = std::make_unique<FaultyStreamBuf>(*bytes, faults);
+        out.faultStream = std::make_unique<std::istream>(out.faultBuf.get());
+        bytes = out.faultStream.get();
     }
-    if (!source->ok()) {
-        Status st = source->status();
+    if (out.binary)
+        out.decoder = std::make_unique<StreamingBinarySource>(*bytes, policy);
+    else
+        out.decoder = std::make_unique<StreamingTextSource>(*bytes, policy);
+    // Header damage (including a byte fault in the magic or version)
+    // surfaces as a structured status, not an abort.
+    if (!out.decoder->ok()) {
+        Status st = out.decoder->status();
         return Status::error(st.code(),
                              "parsing " + path + ": " + st.message(),
                              st.offset());
     }
-    OpenedSource out;
-    out.stream = std::move(stream);
-    out.source = std::move(source);
+    if (faults.anyOpFaults()) {
+        out.opFaults =
+            std::make_unique<FaultInjectingSource>(*out.decoder, faults);
+    }
     return out;
 }
 
-OpenedSource
-openTraceSource(const std::string &path)
+Expected<Trace>
+tryLoadTrace(const std::string &path)
 {
-    Expected<OpenedSource> opened = tryOpenTraceSource(path);
-    if (!opened)
-        fatal(opened.status().toString());
-    return opened.take();
+    Expected<bool> binary = hasBinaryMagic(path);
+    if (!binary)
+        return binary.status();
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return Status::error(ErrCode::IoError, "cannot open " + path);
+    Trace tr;
+    std::string error;
+    if (!(binary.value() ? readBinaryTrace(in, tr, error)
+                         : readTrace(in, tr, error))) {
+        return Status::error(ErrCode::ParseError,
+                             "parsing " + path + ": " + error);
+    }
+    return tr;
 }
 
 } // namespace asyncclock::trace

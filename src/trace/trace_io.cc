@@ -431,8 +431,7 @@ readTrace(std::istream &in, Trace &tr, std::string &error)
     }
     tr.setDialect(line == kTextHeaderAsync ? Dialect::Async
                                            : Dialect::Looper);
-    TraceBuildSink sink(tr);
-    TextLineParser parser(sink, tr.dialect());
+    TextLineParser parser(tr, tr.dialect());
     std::size_t lineNo = 1;
     while (std::getline(in, line)) {
         ++lineNo;
@@ -452,7 +451,7 @@ readTrace(std::istream &in, Trace &tr, std::string &error)
                 tr = Trace();
                 return false;
             }
-            tr.append(op);
+            tr.emit(op);
         }
     }
     return true;
@@ -488,30 +487,6 @@ saveTraceFile(const Trace &tr, const std::string &path)
     Status st = trySaveTraceFile(tr, path);
     if (!st)
         fatal(st.toString());
-}
-
-Expected<Trace>
-tryLoadTraceFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return Status::error(ErrCode::IoError, "cannot open " + path);
-    Trace tr;
-    std::string error;
-    if (!readTrace(in, tr, error)) {
-        return Status::error(ErrCode::ParseError,
-                             "parsing " + path + ": " + error);
-    }
-    return tr;
-}
-
-Trace
-loadTraceFile(const std::string &path)
-{
-    Expected<Trace> tr = tryLoadTraceFile(path);
-    if (!tr)
-        fatal(tr.status().toString());
-    return tr.take();
 }
 
 // ----- StreamingTextSource --------------------------------------------

@@ -20,15 +20,22 @@
  * stream of either format: entity tables populate a TraceMeta as
  * declarations stream past and operations are decoded one at a time,
  * so the analysis' trace-container footprint is O(1) in the op count.
+ *
+ * A trace *file* of either format has one way in for streaming,
+ * tryOpenTraceSource() (which also layers fault injection), and one
+ * way in for materializing, tryLoadTrace(); both tell the formats
+ * apart by the magic bytes.
  */
 
 #ifndef ASYNCCLOCK_TRACE_TRACE_IO_HH
 #define ASYNCCLOCK_TRACE_TRACE_IO_HH
 
 #include <iosfwd>
+#include <istream>
 #include <memory>
 #include <string>
 
+#include "trace/fault.hh"
 #include "trace/source.hh"
 #include "trace/trace.hh"
 
@@ -56,14 +63,8 @@ bool readTraceFromString(const std::string &text, Trace &tr,
 /** Write @p tr to @p path; fatal() on I/O failure. */
 void saveTraceFile(const Trace &tr, const std::string &path);
 
-/** Read a trace from @p path; fatal() on failure. */
-Trace loadTraceFile(const std::string &path);
-
 /** Recoverable variant of saveTraceFile. */
 Status trySaveTraceFile(const Trace &tr, const std::string &path);
-
-/** Recoverable variant of loadTraceFile. */
-Expected<Trace> tryLoadTraceFile(const std::string &path);
 
 /** Streaming TraceSource over the text format. The stream must
  * outlive the source. */
@@ -174,15 +175,9 @@ bool readBinaryTraceFromString(const std::string &data, Trace &tr,
 /** Write @p tr to @p path in the binary format; fatal() on failure. */
 void saveBinaryTraceFile(const Trace &tr, const std::string &path);
 
-/** Read a binary trace from @p path; fatal() on failure. */
-Trace loadBinaryTraceFile(const std::string &path);
-
 /** Recoverable variant of saveBinaryTraceFile. */
 Status trySaveBinaryTraceFile(const Trace &tr,
                               const std::string &path);
-
-/** Recoverable variant of loadBinaryTraceFile. */
-Expected<Trace> tryLoadBinaryTraceFile(const std::string &path);
 
 /** Streaming TraceSource over the binary format. The stream must
  * outlive the source. */
@@ -208,31 +203,54 @@ class StreamingBinarySource : public TraceSource
     TraceMeta meta_;
 };
 
-// ----- format-agnostic helpers ----------------------------------------
-
-/** Does @p path hold a binary trace (by magic)? fatal() if the file
- * cannot be opened. */
-bool isBinaryTraceFile(const std::string &path);
-
-/** Recoverable variant of isBinaryTraceFile. */
-Expected<bool> tryIsBinaryTraceFile(const std::string &path);
+// ----- trace files, either format -----------------------------------
 
 /**
- * Open a streaming source over @p path, auto-detecting the format.
- * The returned holder owns the file stream and the source; fatal() on
- * open/header failure.
+ * A trace file opened for streaming, with everything the source chain
+ * borrows: the file, the byte-fault buffer over it and the stream
+ * through that buffer (byte faults only), the format decoder, and the
+ * op-fault wrapper around the decoder (op faults only). Members are
+ * declared in borrow order, so they are destroyed source-first.
  */
 struct OpenedSource
 {
-    std::unique_ptr<std::istream> stream;
-    std::unique_ptr<TraceSource> source;
-};
-OpenedSource openTraceSource(const std::string &path);
+    std::unique_ptr<std::istream> file;
+    std::unique_ptr<FaultyStreamBuf> faultBuf;
+    std::unique_ptr<std::istream> faultStream;
+    std::unique_ptr<TraceSource> decoder;
+    std::unique_ptr<FaultInjectingSource> opFaults;
+    /** Format sniffed from the file's magic bytes. */
+    bool binary = false;
 
-/** Recoverable variant of openTraceSource; @p policy sets the opened
- * source's corrupt-record budget. */
+    /** What the detector consumes: the op-fault wrapper if any, else
+     * the decoder. */
+    TraceSource &
+    source() const
+    {
+        return opFaults ? static_cast<TraceSource &>(*opFaults)
+                        : *decoder;
+    }
+};
+
+/**
+ * Open @p path as a streaming source. The format comes from the
+ * *un-faulted* file's magic bytes; @p policy is the decoder's corrupt-
+ * record budget; @p faults (byte and op level; session faults are
+ * ignored) are injected between the file and the detector. A file
+ * that cannot be opened or whose header does not decode is an error
+ * status naming @p path, never an abort.
+ */
 Expected<OpenedSource> tryOpenTraceSource(const std::string &path,
-                                          SourceErrorPolicy policy = {});
+                                          SourceErrorPolicy policy = {},
+                                          const FaultConfig &faults = {});
+
+/**
+ * Materialize the trace at @p path (format detected by magic bytes),
+ * for consumers that need random access, such as replay. Strict: the
+ * first malformed record is an error status naming @p path and the
+ * record.
+ */
+Expected<Trace> tryLoadTrace(const std::string &path);
 
 } // namespace asyncclock::trace
 

@@ -56,6 +56,22 @@ tally(VerifySummary &sum, ReplayVerdict verdict)
 } // namespace
 
 VerifySummary
+leaveUnverified(report::TriageReport &triage, const std::string &detail,
+                std::string note)
+{
+    VerifySummary sum;
+    for (TriageClass &cls : triage.classes) {
+        cls.verdict = ReplayVerdict::Unverified;
+        cls.detail = detail;
+        ++sum.unverified;
+    }
+    sum.notes.push_back(std::move(note));
+    report::rankTriage(triage);
+    triage.recount();
+    return sum;
+}
+
+VerifySummary
 verifyTriage(report::TriageReport &triage, const trace::Trace &tr,
              const VerifyConfig &cfg)
 {
@@ -79,17 +95,12 @@ verifyTriage(report::TriageReport &triage, const trace::Trace &tr,
     };
 
     if (cfg.maxOps != 0 && tr.numOps() > cfg.maxOps) {
-        std::string note =
+        sum = leaveUnverified(
+            triage, "trace above --verify-max-ops cap",
             strf("trace has %u ops, above the verification cap of %u "
                  "(the closure is quadratic); all classes left "
                  "UNVERIFIED",
-                 tr.numOps(), cfg.maxOps);
-        for (TriageClass &cls : triage.classes) {
-            cls.verdict = ReplayVerdict::Unverified;
-            cls.detail = "trace above --verify-max-ops cap";
-            ++sum.unverified;
-        }
-        sum.notes.push_back(std::move(note));
+                 tr.numOps(), cfg.maxOps));
         return finish();
     }
 

@@ -69,6 +69,15 @@ VerifySummary verifyTriage(report::TriageReport &triage,
                            const trace::Trace &tr,
                            const VerifyConfig &cfg = {});
 
+/**
+ * Verify nothing: leave every class of @p triage Unverified with
+ * @p detail, rank them, and return a tally carrying @p note (why no
+ * class could be replayed).
+ */
+VerifySummary leaveUnverified(report::TriageReport &triage,
+                              const std::string &detail,
+                              std::string note);
+
 } // namespace asyncclock::verify
 
 #endif // ASYNCCLOCK_VERIFY_VERIFIER_HH

@@ -24,12 +24,12 @@ tinyAsync()
 {
     Trace tr;
     tr.setDialect(Dialect::Async);
-    ThreadId main = tr.addThread(ThreadKind::Worker, "main");
-    ThreadId exec = tr.addThread(ThreadKind::Worker, "exec");
-    EventId t = tr.addEvent();
-    HandleId scope = tr.addHandle("main.scope");
-    VarId v = tr.addVar("v");
-    SiteId s = tr.addSite("site", Frame::User);
+    ThreadId main = tr.declThread(ThreadKind::Worker, "main");
+    ThreadId exec = tr.declThread(ThreadKind::Worker, "exec");
+    EventId t = tr.declEvent();
+    HandleId scope = tr.declHandle("main.scope");
+    VarId v = tr.declVar("v");
+    SiteId s = tr.declSite("site", Frame::User);
     Task m = Task::thread(main);
     Task body = Task::event(t);
     tr.threadBegin(main, 0);
@@ -52,11 +52,11 @@ tinyAsyncWithCancel()
 {
     Trace tr;
     tr.setDialect(Dialect::Async);
-    ThreadId main = tr.addThread(ThreadKind::Worker, "main");
-    ThreadId exec = tr.addThread(ThreadKind::Worker, "exec");
-    EventId t = tr.addEvent();
-    EventId doomed = tr.addEvent();
-    HandleId scope = tr.addHandle("main.scope");
+    ThreadId main = tr.declThread(ThreadKind::Worker, "main");
+    ThreadId exec = tr.declThread(ThreadKind::Worker, "exec");
+    EventId t = tr.declEvent();
+    EventId doomed = tr.declEvent();
+    HandleId scope = tr.declHandle("main.scope");
     Task m = Task::thread(main);
     tr.threadBegin(main, 0);
     tr.threadBegin(exec, 0);
@@ -221,9 +221,9 @@ TEST(AsyncProtocol, BeginWithoutSpawnRejected)
 {
     Trace tr;
     tr.setDialect(Dialect::Async);
-    ThreadId main = tr.addThread(ThreadKind::Worker, "main");
-    ThreadId exec = tr.addThread(ThreadKind::Worker, "exec");
-    EventId t = tr.addEvent();
+    ThreadId main = tr.declThread(ThreadKind::Worker, "main");
+    ThreadId exec = tr.declThread(ThreadKind::Worker, "exec");
+    EventId t = tr.declEvent();
     tr.threadBegin(main, 0);
     tr.threadBegin(exec, 0);
     tr.eventBegin(t, exec, 1);
@@ -237,9 +237,9 @@ TEST(AsyncProtocol, AwaitBeforeSettleRejected)
 {
     Trace tr;
     tr.setDialect(Dialect::Async);
-    ThreadId main = tr.addThread(ThreadKind::Worker, "main");
-    ThreadId exec = tr.addThread(ThreadKind::Worker, "exec");
-    EventId t = tr.addEvent();
+    ThreadId main = tr.declThread(ThreadKind::Worker, "main");
+    ThreadId exec = tr.declThread(ThreadKind::Worker, "exec");
+    EventId t = tr.declEvent();
     Task m = Task::thread(main);
     tr.threadBegin(main, 0);
     tr.threadBegin(exec, 0);
@@ -256,9 +256,9 @@ TEST(AsyncProtocol, CancelOfRunningTaskRejected)
 {
     Trace tr;
     tr.setDialect(Dialect::Async);
-    ThreadId main = tr.addThread(ThreadKind::Worker, "main");
-    ThreadId exec = tr.addThread(ThreadKind::Worker, "exec");
-    EventId t = tr.addEvent();
+    ThreadId main = tr.declThread(ThreadKind::Worker, "main");
+    ThreadId exec = tr.declThread(ThreadKind::Worker, "exec");
+    EventId t = tr.declEvent();
     Task m = Task::thread(main);
     tr.threadBegin(main, 0);
     tr.threadBegin(exec, 0);
@@ -275,9 +275,9 @@ TEST(AsyncProtocol, CancelledTaskMustNeverBegin)
 {
     Trace tr;
     tr.setDialect(Dialect::Async);
-    ThreadId main = tr.addThread(ThreadKind::Worker, "main");
-    ThreadId exec = tr.addThread(ThreadKind::Worker, "exec");
-    EventId t = tr.addEvent();
+    ThreadId main = tr.declThread(ThreadKind::Worker, "main");
+    ThreadId exec = tr.declThread(ThreadKind::Worker, "exec");
+    EventId t = tr.declEvent();
     Task m = Task::thread(main);
     tr.threadBegin(main, 0);
     tr.threadBegin(exec, 0);
@@ -294,8 +294,8 @@ TEST(AsyncProtocol, DoubleSpawnRejected)
 {
     Trace tr;
     tr.setDialect(Dialect::Async);
-    ThreadId main = tr.addThread(ThreadKind::Worker, "main");
-    EventId t = tr.addEvent();
+    ThreadId main = tr.declThread(ThreadKind::Worker, "main");
+    EventId t = tr.declEvent();
     Task m = Task::thread(main);
     tr.threadBegin(main, 0);
     tr.taskSpawn(m, t, kInvalidId, 1);
@@ -308,10 +308,10 @@ TEST(AsyncProtocol, ScopeEndWithOpenChildRejected)
 {
     Trace tr;
     tr.setDialect(Dialect::Async);
-    ThreadId main = tr.addThread(ThreadKind::Worker, "main");
-    ThreadId exec = tr.addThread(ThreadKind::Worker, "exec");
-    EventId t = tr.addEvent();
-    HandleId scope = tr.addHandle("main.scope");
+    ThreadId main = tr.declThread(ThreadKind::Worker, "main");
+    ThreadId exec = tr.declThread(ThreadKind::Worker, "exec");
+    EventId t = tr.declEvent();
+    HandleId scope = tr.declHandle("main.scope");
     Task m = Task::thread(main);
     tr.threadBegin(main, 0);
     tr.threadBegin(exec, 0);
@@ -328,9 +328,9 @@ TEST(AsyncProtocol, LooperOpsRejectedInAsyncTrace)
 {
     Trace tr;
     tr.setDialect(Dialect::Async);
-    QueueId q = tr.addQueue(QueueKind::Looper, "q");
-    ThreadId main = tr.addThread(ThreadKind::Worker, "main");
-    EventId t = tr.addEvent();
+    QueueId q = tr.declQueue(QueueKind::Looper, "q");
+    ThreadId main = tr.declThread(ThreadKind::Worker, "main");
+    EventId t = tr.declEvent();
     Task m = Task::thread(main);
     tr.threadBegin(main, 0);
     tr.send(m, q, t, SendAttrs{}, 1);

@@ -149,11 +149,11 @@ TEST(Edge, ReportOnTraceWithoutSites)
     // Accesses can carry no site (kInvalidId); the analyzer must
     // treat them as non-user-induced rather than crash.
     Trace tr;
-    auto q = tr.addQueue(trace::QueueKind::Looper, "main");
-    auto looper = tr.addThread(trace::ThreadKind::Looper, "main", q);
+    auto q = tr.declQueue(trace::QueueKind::Looper, "main");
+    auto looper = tr.declThread(trace::ThreadKind::Looper, "main", q);
     tr.bindLooper(q, looper);
-    auto w = tr.addThread(trace::ThreadKind::Worker, "w");
-    auto x = tr.addVar("x");
+    auto w = tr.declThread(trace::ThreadKind::Worker, "w");
+    auto x = tr.declVar("x");
     tr.threadBegin(looper, 0);
     tr.threadBegin(w, 0);
     tr.write(trace::Task::thread(w), x, trace::kInvalidId, 1);

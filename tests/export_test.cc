@@ -57,7 +57,8 @@ TEST(Export, ReportJsonContainsGroups)
     det.runAll();
     auto summary =
         report::RaceAnalyzer(app.trace).analyze(checker.races());
-    std::string json = report::toJson(summary, app.trace);
+    std::string json = report::toJson(
+        summary, trace::TraceMeta::fromTrace(app.trace));
     EXPECT_NE(json.find("\"harmful\":" +
                         std::to_string(summary.harmful)),
               std::string::npos);
@@ -107,7 +108,8 @@ TEST(Export, ReportOrderIsInputOrderIndependent)
         std::string text = summary.summary() + "\n";
         for (const auto &group : summary.reported)
             text += analyzer.describe(group) + "\n";
-        return text + report::toJson(summary, app.trace);
+        return text + report::toJson(
+                          summary, trace::TraceMeta::fromTrace(app.trace));
     };
 
     std::string baseline = render(races);
@@ -138,7 +140,8 @@ TEST(Export, TriageJsonCarriesVerdicts)
 
     report::TriageReport tri = report::buildTriage(checker.races());
     verify::verifyTriage(tri, app.trace, {});
-    std::string json = report::toJson(summary, tri, app.trace);
+    std::string json = report::toJson(
+        summary, tri, trace::TraceMeta::fromTrace(app.trace));
     EXPECT_NE(json.find("\"verification\":{"), std::string::npos);
     EXPECT_NE(json.find("\"confirmed\":" +
                         std::to_string(tri.confirmed)),

@@ -47,7 +47,7 @@ TEST(Integration, FileRoundTripPreservesAnalysis)
 
     std::string path = ::testing::TempDir() + "/roundtrip.trace";
     trace::saveTraceFile(app.trace, path);
-    Trace loaded = trace::loadTraceFile(path);
+    Trace loaded = trace::tryLoadTrace(path).take();
     EXPECT_EQ(loaded.validate(true), "");
 
     auto analyze = [](const Trace &tr) {

@@ -430,7 +430,7 @@ TEST(DetectorObs, CountersRegisteredAndPumpSpansEmitted)
     // that never began, one more than the budget allows.
     trace::Trace failing = app.trace;
     trace::ThreadId ghost =
-        failing.addThread(trace::ThreadKind::Worker, "ghost");
+        failing.declThread(trace::ThreadKind::Worker, "ghost");
     std::uint64_t end = failing.ops().back().vtime;
     for (int i = 0; i < 5; ++i)
         failing.write(trace::Task::thread(ghost), 0, 0, end);

@@ -5,12 +5,14 @@
 # script driver enforces both: exit code SMOKE_EXIT (default 0) AND
 # output matching SMOKE_PATTERN. A run expected to succeed must print
 # the pattern on stdout; one expected to fail, on stderr, where the
-# tools write their errors.
+# tools write their errors. With SMOKE_REPORT the run must instead
+# write that file (the caller passes it as --report-out; a stale copy
+# is deleted first) and the pattern must match its contents.
 #
 # Usage (from add_test):
 #   cmake -DSMOKE_BINARY=<path> -DSMOKE_PATTERN=<regex>
 #         [-DSMOKE_ARGS=<arg;list>] [-DSMOKE_EXIT=<code>]
-#         -P run_smoke.cmake
+#         [-DSMOKE_REPORT=<path>] -P run_smoke.cmake
 
 if(NOT DEFINED SMOKE_BINARY OR NOT DEFINED SMOKE_PATTERN)
     message(FATAL_ERROR
@@ -18,6 +20,10 @@ if(NOT DEFINED SMOKE_BINARY OR NOT DEFINED SMOKE_PATTERN)
 endif()
 if(NOT DEFINED SMOKE_EXIT)
     set(SMOKE_EXIT 0)
+endif()
+
+if(DEFINED SMOKE_REPORT)
+    file(REMOVE "${SMOKE_REPORT}")
 endif()
 
 execute_process(
@@ -33,7 +39,14 @@ if(NOT rc EQUAL SMOKE_EXIT)
             "stdout:\n${out}\nstderr:\n${err}")
 endif()
 
-if(SMOKE_EXIT EQUAL 0)
+if(DEFINED SMOKE_REPORT)
+    if(NOT EXISTS "${SMOKE_REPORT}")
+        message(FATAL_ERROR
+                "${SMOKE_BINARY} wrote no report to ${SMOKE_REPORT}\n"
+                "stdout:\n${out}\nstderr:\n${err}")
+    endif()
+    file(READ "${SMOKE_REPORT}" checked)
+elseif(SMOKE_EXIT EQUAL 0)
     set(checked "${out}")
 else()
     set(checked "${err}")

@@ -4,12 +4,14 @@
  * text, streaming binary) feeds both detectors to identical race
  * reports; the binary format round-trips randomized workload traces
  * byte-exactly at the Trace level; truncated or corrupted binary
- * streams are rejected, not misparsed; and the runtime's
- * direct-to-sink mode reproduces the materialized trace.
+ * streams are rejected, not misparsed; trace files of either format
+ * open through one opener and load through one loader; and the
+ * runtime's direct-to-sink mode reproduces the materialized trace.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -227,7 +229,7 @@ TEST(BinaryFormat, RejectsTruncation)
           bin.size() / 2, bin.size() - 1}) {
         Trace tr;
         // Poison the output to verify the reset-on-failure contract.
-        tr.addVar("poison");
+        tr.declVar("poison");
         std::string error;
         EXPECT_FALSE(trace::readBinaryTraceFromString(
             bin.substr(0, cut), tr, error))
@@ -313,7 +315,7 @@ TEST(TextFormat, ErrorsCarryLineAndTokenAndResetTrace)
     };
     for (const Case &c : cases) {
         Trace tr;
-        tr.addVar("poison");
+        tr.declVar("poison");
         std::string error;
         EXPECT_FALSE(trace::readTraceFromString(c.text, tr, error))
             << c.text;
@@ -324,6 +326,20 @@ TEST(TextFormat, ErrorsCarryLineAndTokenAndResetTrace)
     }
 }
 
+TEST(TextFormat, OutOfRangeLooperBindingIsDropped)
+{
+    // The streaming source tolerates a queue line naming a looper
+    // thread that does not exist; the materializing reader (the
+    // replay reload) must too, instead of writing out of bounds.
+    Trace tr;
+    std::string error;
+    ASSERT_TRUE(trace::readTraceFromString(
+        "asyncclock-trace v1\nqueue 0 looper 7 main\n", tr, error))
+        << error;
+    ASSERT_EQ(tr.queues().size(), 1u);
+    EXPECT_EQ(tr.queues()[0].looper, trace::kInvalidId);
+}
+
 // ----- direct-to-sink generation --------------------------------------
 
 TEST(SinkMode, GenerateAppToSinkMatchesMaterialized)
@@ -332,10 +348,9 @@ TEST(SinkMode, GenerateAppToSinkMatchesMaterialized)
     auto app = workload::generateApp(p);
 
     Trace streamed;
-    trace::TraceBuildSink sink(streamed);
     std::uint64_t endMs = 0;
     workload::SeededTruth truth =
-        workload::generateAppToSink(p, sink, &endMs);
+        workload::generateAppToSink(p, streamed, &endMs);
 
     expectSameEntities(app.trace, streamed);
     expectSameOps(app.trace, streamed);
@@ -368,6 +383,139 @@ TEST(SinkMode, BinaryRecordingDecodesToMaterializedTrace)
     expectSameOps(app.trace, decoded);
     EXPECT_EQ(trace::writeBinaryTraceToString(decoded),
               trace::writeBinaryTraceToString(app.trace));
+}
+
+// ----- trace files: one opener, one loader ----------------------------
+
+std::string
+tempPath(const std::string &name)
+{
+    return ::testing::TempDir() + "/" + name;
+}
+
+void
+writeFile(const std::string &path, const std::string &data)
+{
+    std::ofstream out(path, std::ios::binary);
+    out << data;
+}
+
+/** Drain @p src; returns the number of ops pulled. */
+std::uint64_t
+drain(trace::TraceSource &src)
+{
+    std::uint64_t n = 0;
+    Operation op;
+    while (src.next(op))
+        ++n;
+    return n;
+}
+
+TEST(TraceFiles, OpenerAndLoaderTellFormatsApartByMagic)
+{
+    auto app = workload::generateApp(profile(31, 60));
+    const std::string text = tempPath("files.trace");
+    const std::string bin = tempPath("files.actb");
+    trace::saveTraceFile(app.trace, text);
+    trace::saveBinaryTraceFile(app.trace, bin);
+
+    for (const std::string &path : {text, bin}) {
+        SCOPED_TRACE(path);
+        auto opened = trace::tryOpenTraceSource(path);
+        ASSERT_TRUE(opened) << opened.status().toString();
+        EXPECT_EQ(opened.value().binary, path == bin);
+        EXPECT_EQ(opened.value().faultBuf, nullptr);
+        EXPECT_EQ(opened.value().opFaults, nullptr);
+        trace::TraceSource &src = opened.value().source();
+        EXPECT_EQ(drain(src), app.trace.numOps());
+        EXPECT_TRUE(src.ok()) << src.error();
+        EXPECT_EQ(src.meta().vars().size(), app.trace.vars().size());
+
+        auto loaded = trace::tryLoadTrace(path);
+        ASSERT_TRUE(loaded) << loaded.status().toString();
+        expectSameEntities(app.trace, loaded.value());
+        expectSameOps(app.trace, loaded.value());
+    }
+}
+
+TEST(TraceFiles, FailuresAreStatusesNamingThePath)
+{
+    const std::string missing = tempPath("no-such.trace");
+    for (Status st : {trace::tryOpenTraceSource(missing).status(),
+                      trace::tryLoadTrace(missing).status()}) {
+        EXPECT_EQ(st.code(), ErrCode::IoError);
+        EXPECT_NE(st.message().find(missing), std::string::npos);
+    }
+
+    const std::string badHeader = tempPath("bad-header.trace");
+    writeFile(badHeader, "not-a-trace\n");
+    Status st = trace::tryOpenTraceSource(badHeader).status();
+    EXPECT_EQ(st.code(), ErrCode::ParseError);
+    EXPECT_NE(st.message().find("parsing " + badHeader + ": line 1"),
+              std::string::npos)
+        << st.toString();
+
+    // A corrupt op line: the opener's budget can skip it, the loader
+    // (strict) names the file and the line.
+    auto app = workload::generateApp(profile(32, 40));
+    std::string data = trace::writeTraceToString(app.trace);
+    std::size_t firstOp = data.find("\nop ");
+    ASSERT_NE(firstOp, std::string::npos);
+    data.insert(firstOp + 1, "op bogus T0 1 @5\n");
+    const std::string badOp = tempPath("bad-op.trace");
+    writeFile(badOp, data);
+
+    auto loaded = trace::tryLoadTrace(badOp);
+    ASSERT_FALSE(loaded);
+    EXPECT_EQ(loaded.status().code(), ErrCode::ParseError);
+    EXPECT_NE(loaded.status().message().find("parsing " + badOp +
+                                             ": line "),
+              std::string::npos)
+        << loaded.status().toString();
+    EXPECT_NE(loaded.status().message().find("bogus"),
+              std::string::npos);
+
+    trace::SourceErrorPolicy budget;
+    budget.maxRecordErrors = 1;
+    auto opened = trace::tryOpenTraceSource(badOp, budget);
+    ASSERT_TRUE(opened) << opened.status().toString();
+    trace::TraceSource &src = opened.value().source();
+    EXPECT_EQ(drain(src), app.trace.numOps());
+    EXPECT_TRUE(src.ok()) << src.error();
+    EXPECT_EQ(src.recordsSkipped(), 1u);
+}
+
+TEST(TraceFiles, OpenerLayersByteAndOpFaults)
+{
+    auto app = workload::generateApp(profile(33, 60));
+    const std::string bin = tempPath("faults.actb");
+    trace::saveBinaryTraceFile(app.trace, bin);
+
+    trace::FaultConfig dup;
+    dup.dupRate = 0.5;
+    auto duped = trace::tryOpenTraceSource(bin, {}, dup);
+    ASSERT_TRUE(duped) << duped.status().toString();
+    ASSERT_NE(duped.value().opFaults, nullptr);
+    EXPECT_EQ(duped.value().faultBuf, nullptr);
+    EXPECT_EQ(&duped.value().source(),
+              static_cast<trace::TraceSource *>(
+                  duped.value().opFaults.get()));
+    EXPECT_GT(drain(duped.value().source()), app.trace.numOps());
+    EXPECT_GT(duped.value().opFaults->opsDuplicated(), 0u);
+
+    // Truncation is a byte fault: the format is still sniffed from
+    // the intact file, and the decoder reports the cut.
+    trace::FaultConfig cut;
+    cut.truncateAfterBytes = 200;
+    auto truncated = trace::tryOpenTraceSource(bin, {}, cut);
+    ASSERT_TRUE(truncated) << truncated.status().toString();
+    ASSERT_NE(truncated.value().faultBuf, nullptr);
+    EXPECT_TRUE(truncated.value().binary);
+    trace::TraceSource &src = truncated.value().source();
+    EXPECT_LT(drain(src), app.trace.numOps());
+    EXPECT_FALSE(src.ok());
+    EXPECT_EQ(src.status().code(), ErrCode::Truncated)
+        << src.status().toString();
 }
 
 // ----- container-bytes contract ---------------------------------------

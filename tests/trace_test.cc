@@ -98,14 +98,14 @@ Trace
 makeSmallTrace()
 {
     Trace tr;
-    QueueId q = tr.addQueue(QueueKind::Looper, "main");
-    ThreadId looper = tr.addThread(ThreadKind::Looper, "main", q);
+    QueueId q = tr.declQueue(QueueKind::Looper, "main");
+    ThreadId looper = tr.declThread(ThreadKind::Looper, "main", q);
     tr.bindLooper(q, looper);
-    ThreadId worker = tr.addThread(ThreadKind::Worker, "w0");
-    VarId x = tr.addVar("x");
-    SiteId s = tr.addSite("App.java:1", Frame::User);
-    EventId e1 = tr.addEvent();
-    EventId e2 = tr.addEvent();
+    ThreadId worker = tr.declThread(ThreadKind::Worker, "w0");
+    VarId x = tr.declVar("x");
+    SiteId s = tr.declSite("App.java:1", Frame::User);
+    EventId e1 = tr.declEvent();
+    EventId e2 = tr.declEvent();
 
     std::uint64_t t = 0;
     tr.threadBegin(looper, t++);
@@ -159,8 +159,8 @@ TEST(Trace, StatsCountsKinds)
 TEST(TraceValidate, RejectsOpsOutsideLifetime)
 {
     Trace tr;
-    ThreadId w = tr.addThread(ThreadKind::Worker, "w");
-    VarId x = tr.addVar("x");
+    ThreadId w = tr.declThread(ThreadKind::Worker, "w");
+    VarId x = tr.declVar("x");
     tr.read(Task::thread(w), x, kInvalidId, 0);  // before begin
     EXPECT_NE(tr.validate(), "");
 }
@@ -168,10 +168,10 @@ TEST(TraceValidate, RejectsOpsOutsideLifetime)
 TEST(TraceValidate, RejectsUnsentEventBegin)
 {
     Trace tr;
-    QueueId q = tr.addQueue(QueueKind::Looper, "main");
-    ThreadId looper = tr.addThread(ThreadKind::Looper, "main", q);
+    QueueId q = tr.declQueue(QueueKind::Looper, "main");
+    ThreadId looper = tr.declThread(ThreadKind::Looper, "main", q);
     tr.bindLooper(q, looper);
-    EventId e = tr.addEvent();
+    EventId e = tr.declEvent();
     tr.threadBegin(looper, 0);
     tr.eventBegin(e, looper, 1);
     EXPECT_NE(tr.validate(), "");
@@ -180,11 +180,11 @@ TEST(TraceValidate, RejectsUnsentEventBegin)
 TEST(TraceValidate, RejectsOverlappingLooperEvents)
 {
     Trace tr;
-    QueueId q = tr.addQueue(QueueKind::Looper, "main");
-    ThreadId looper = tr.addThread(ThreadKind::Looper, "main", q);
+    QueueId q = tr.declQueue(QueueKind::Looper, "main");
+    ThreadId looper = tr.declThread(ThreadKind::Looper, "main", q);
     tr.bindLooper(q, looper);
-    ThreadId w = tr.addThread(ThreadKind::Worker, "w");
-    EventId e1 = tr.addEvent(), e2 = tr.addEvent();
+    ThreadId w = tr.declThread(ThreadKind::Worker, "w");
+    EventId e1 = tr.declEvent(), e2 = tr.declEvent();
     tr.threadBegin(looper, 0);
     tr.threadBegin(w, 0);
     tr.send(Task::thread(w), q, e1, SendAttrs{}, 1);
@@ -197,8 +197,8 @@ TEST(TraceValidate, RejectsOverlappingLooperEvents)
 TEST(TraceValidate, RejectsWaitWithoutSignal)
 {
     Trace tr;
-    ThreadId w = tr.addThread(ThreadKind::Worker, "w");
-    HandleId h = tr.addHandle("m");
+    ThreadId w = tr.declThread(ThreadKind::Worker, "w");
+    HandleId h = tr.declHandle("m");
     tr.threadBegin(w, 0);
     tr.wait(Task::thread(w), h, 1);
     EXPECT_NE(tr.validate(), "");
@@ -207,8 +207,8 @@ TEST(TraceValidate, RejectsWaitWithoutSignal)
 TEST(TraceValidate, RejectsJoinBeforeChildEnd)
 {
     Trace tr;
-    ThreadId a = tr.addThread(ThreadKind::Worker, "a");
-    ThreadId b = tr.addThread(ThreadKind::Worker, "b");
+    ThreadId a = tr.declThread(ThreadKind::Worker, "a");
+    ThreadId b = tr.declThread(ThreadKind::Worker, "b");
     tr.threadBegin(a, 0);
     tr.fork(Task::thread(a), b, 1);
     tr.threadBegin(b, 2);
@@ -219,11 +219,11 @@ TEST(TraceValidate, RejectsJoinBeforeChildEnd)
 TEST(TraceValidate, RejectsPriorityInversion)
 {
     Trace tr;
-    QueueId q = tr.addQueue(QueueKind::Looper, "main");
-    ThreadId looper = tr.addThread(ThreadKind::Looper, "main", q);
+    QueueId q = tr.declQueue(QueueKind::Looper, "main");
+    ThreadId looper = tr.declThread(ThreadKind::Looper, "main", q);
     tr.bindLooper(q, looper);
-    ThreadId w = tr.addThread(ThreadKind::Worker, "w");
-    EventId e1 = tr.addEvent(), e2 = tr.addEvent();
+    ThreadId w = tr.declThread(ThreadKind::Worker, "w");
+    EventId e1 = tr.declEvent(), e2 = tr.declEvent();
     tr.threadBegin(looper, 0);
     tr.threadBegin(w, 0);
     // Two plain FIFO events dispatched in reverse order.
@@ -239,7 +239,7 @@ TEST(TraceValidate, RejectsPriorityInversion)
 TEST(TraceValidate, RejectsDecreasingVtime)
 {
     Trace tr;
-    ThreadId w = tr.addThread(ThreadKind::Worker, "w");
+    ThreadId w = tr.declThread(ThreadKind::Worker, "w");
     tr.threadBegin(w, 10);
     tr.threadEnd(w, 5);
     EXPECT_NE(tr.validate(), "");
@@ -248,11 +248,11 @@ TEST(TraceValidate, RejectsDecreasingVtime)
 TEST(TraceValidate, RemovedEventMustNotRun)
 {
     Trace tr;
-    QueueId q = tr.addQueue(QueueKind::Looper, "main");
-    ThreadId looper = tr.addThread(ThreadKind::Looper, "main", q);
+    QueueId q = tr.declQueue(QueueKind::Looper, "main");
+    ThreadId looper = tr.declThread(ThreadKind::Looper, "main", q);
     tr.bindLooper(q, looper);
-    ThreadId w = tr.addThread(ThreadKind::Worker, "w");
-    EventId e = tr.addEvent();
+    ThreadId w = tr.declThread(ThreadKind::Worker, "w");
+    EventId e = tr.declEvent();
     tr.threadBegin(looper, 0);
     tr.threadBegin(w, 0);
     tr.send(Task::thread(w), q, e, SendAttrs{}, 1);
@@ -264,11 +264,11 @@ TEST(TraceValidate, RemovedEventMustNotRun)
 TEST(TraceValidate, AcceptsRemovedEvent)
 {
     Trace tr;
-    QueueId q = tr.addQueue(QueueKind::Looper, "main");
-    ThreadId looper = tr.addThread(ThreadKind::Looper, "main", q);
+    QueueId q = tr.declQueue(QueueKind::Looper, "main");
+    ThreadId looper = tr.declThread(ThreadKind::Looper, "main", q);
     tr.bindLooper(q, looper);
-    ThreadId w = tr.addThread(ThreadKind::Worker, "w");
-    EventId e = tr.addEvent();
+    ThreadId w = tr.declThread(ThreadKind::Worker, "w");
+    EventId e = tr.declEvent();
     tr.threadBegin(looper, 0);
     tr.threadBegin(w, 0);
     tr.send(Task::thread(w), q, e, SendAttrs{}, 1);
@@ -300,11 +300,11 @@ TEST(TraceIo, RoundTripPreservesEverything)
 TEST(TraceIo, RoundTripSendAttrs)
 {
     Trace tr;
-    QueueId q = tr.addQueue(QueueKind::Looper, "main");
-    ThreadId looper = tr.addThread(ThreadKind::Looper, "main", q);
+    QueueId q = tr.declQueue(QueueKind::Looper, "main");
+    ThreadId looper = tr.declThread(ThreadKind::Looper, "main", q);
     tr.bindLooper(q, looper);
-    ThreadId w = tr.addThread(ThreadKind::Worker, "w");
-    EventId e1 = tr.addEvent(), e2 = tr.addEvent(), e3 = tr.addEvent();
+    ThreadId w = tr.declThread(ThreadKind::Worker, "w");
+    EventId e1 = tr.declEvent(), e2 = tr.declEvent(), e3 = tr.declEvent();
     tr.threadBegin(looper, 0);
     tr.threadBegin(w, 0);
     tr.send(Task::thread(w), q, e1,
@@ -339,8 +339,8 @@ TEST(TraceIo, RejectsGarbage)
 TEST(TraceIo, SeedLabelsSurvive)
 {
     Trace tr;
-    tr.addVar("racy", SeedLabel::Harmful);
-    tr.addVar("benign", SeedLabel::HarmlessTypeII);
+    tr.declVar("racy", SeedLabel::Harmful);
+    tr.declVar("benign", SeedLabel::HarmlessTypeII);
     std::string text = writeTraceToString(tr);
     Trace back;
     std::string error;
