@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Daemon soak / chaos run: N concurrent mixed-dialect sessions against
 # one asyncclockd under a memory budget small enough to force
-# checkpoint evictions, plus one SIGKILL + restart with client resync,
+# evictions, plus one SIGKILL + restart with client resync,
 # one poisoned session (interleaved dialect), and a SIGTERM drain.
 # Every healthy session's report must be byte-identical to a
 # single-shot `trace_analyzer analyze` over the same bytes, and the
@@ -14,11 +14,10 @@ BIN=${1:?usage: daemon_soak.sh <trace_analyzer> [workdir]}
 WORK=${2:-$(mktemp -d /tmp/daemon_soak.XXXXXX)}
 SESSIONS=${SESSIONS:-32}
 # Far below the hot working set of the looper sessions, comfortably
-# above one session's residency: the LRU ladder must keep
-# checkpointing cold sessions out without thrashing the ones making
-# progress (resume replays the spool up to the skip point, so a
-# budget below a single session's footprint degrades to quadratic
-# replay).
+# above one session's residency: the LRU ladder must keep evicting
+# cold sessions without thrashing the ones making progress (resume
+# replays the spool from op 0, so a budget below a single session's
+# footprint degrades to quadratic replay).
 MEM_BUDGET=${MEM_BUDGET:-64M}
 
 mkdir -p "$WORK/state"

@@ -35,8 +35,8 @@
  * writes the end-of-run metrics snapshot as JSON; --serve=PORT
  * scrapes the live run over HTTP (/metrics in Prometheus text
  * format, /metrics.json, /healthz, /progress); --events-out writes a
- * structured JSONL log of run lifecycle events (checkpoints,
- * degradation-ladder rungs, decode skips);
+ * structured JSONL log of run lifecycle events (degradation-ladder
+ * rungs, decode skips);
  * --phase-timing attributes per-op cost to decode / model-apply /
  * clock-join / race-check / GC-sweep phases.
  *
@@ -68,7 +68,6 @@
 #include "obs/progress.hh"
 #include "obs/telemetry.hh"
 #include "predict/predict.hh"
-#include "report/checkpoint.hh"
 #include "report/export.hh"
 #include "report/fasttrack.hh"
 #include "report/races.hh"
@@ -92,8 +91,7 @@ usage()
         "usage:\n"
         "  trace_analyzer gen <AppName> <out.trace> [scale] [--binary]\n"
         "  trace_analyzer analyze <in.trace> [options]\n"
-        "  trace_analyzer daemon [daemon options]   (alias:\n"
-        "                   trace_analyzer --daemon=PORT ...)\n"
+        "  trace_analyzer daemon [daemon options]\n"
         "  trace_analyzer feed <in.trace> --port=P --session=ID\n"
         "                   [feed options]\n"
         "gen: AppName is a Table 2 looper profile (e.g. Firefox) or an\n"
@@ -136,8 +134,8 @@ usage()
         "  --serve-linger-ms=N  keep the telemetry server up N ms\n"
         "                   after the run finishes (default 0)\n"
         "  --events-out=PATH  write structured lifecycle events\n"
-        "                   (checkpoints, pressure rungs, decode\n"
-        "                   skips) as JSON lines\n"
+        "                   (pressure rungs, decode skips) as JSON\n"
+        "                   lines\n"
         "  --phase-timing   attribute per-op cost to decode /\n"
         "                   model-apply / clock-join / race-check /\n"
         "                   gc-sweep phases (table at end of run;\n"
@@ -147,10 +145,6 @@ usage()
         "                   failing (default 0: first error fails)\n"
         "  --mem-budget=N[K|M|G]  degradation ladder budget for\n"
         "                   detector metadata (default: uncapped)\n"
-        "  --checkpoint=PATH      checkpoint the run to PATH\n"
-        "  --checkpoint-every=N   ops between checkpoints\n"
-        "                   (default 1000000)\n"
-        "  --resume         resume from --checkpoint PATH\n"
         "  --report-out=PATH      also write the race report to PATH\n"
         "  --inject=SPEC    deterministic fault injection;\n"
         "                   SPEC is comma-separated key=value:\n"
@@ -158,14 +152,15 @@ usage()
         "daemon options (always-on multi-session analysis service):\n"
         "  --port=N         listen on 127.0.0.1:N (default 0 =\n"
         "                   kernel-assigned; printed at startup)\n"
-        "  --state-dir=PATH session spools/checkpoints/reports\n"
+        "  --state-dir=PATH session spools/meta/reports\n"
         "                   (default ./asyncclockd-state)\n"
         "  --workers=N      analysis worker threads (default 2)\n"
         "  --http-threads=N HTTP handler threads (default 4)\n"
         "  --max-sessions=N admission cap (default 64)\n"
         "  --mem-budget=N[K|M|G]  global resident-state budget; the\n"
-        "                   LRU ladder checkpoints cold sessions to\n"
-        "                   disk to stay under it (default: uncapped)\n"
+        "                   LRU ladder evicts cold sessions (rebuilt\n"
+        "                   from their spools) to stay under it\n"
+        "                   (default: uncapped)\n"
         "  --idle-timeout-ms=N  evict sessions idle this long\n"
         "                   (default 0 = never)\n"
         "  --watchdog-ms=N  poison a session whose pump slice stalls\n"
@@ -368,7 +363,6 @@ cmdAnalyze(int argc, char **argv)
     core::DetectorConfig cfg;
     report::FilterConfig filters;
     bool json = false;
-    bool resume = false;
     bool verify = false;
     std::uint32_t verifyMaxClasses = 0;
     std::uint32_t verifyMaxOps = 50000;
@@ -377,13 +371,11 @@ cmdAnalyze(int argc, char **argv)
     std::uint32_t predictWindow = 64;
     std::uint32_t predictMaxCandidates = 256;
     std::uint64_t progressEvery = 0;
-    std::uint64_t checkpointEvery = 1000000;
     int servePort = -1;  // -1 = off; 0 = kernel-assigned
     std::uint64_t serveLingerMs = 0;
     std::string traceOut;
     std::string metricsOut;
     std::string eventsOut;
-    std::string checkpointPath;
     std::string reportOut;
     std::string injectSpec;
     trace::SourceErrorPolicy policy;
@@ -453,12 +445,6 @@ cmdAnalyze(int argc, char **argv)
             ok = numberFlag(kCmd, arg, policy.maxRecordErrors);
         } else if (arg.rfind("--mem-budget=", 0) == 0) {
             ok = bytesFlag(kCmd, arg, cfg.memBudgetBytes);
-        } else if (arg.rfind("--checkpoint=", 0) == 0) {
-            checkpointPath = arg.substr(13);
-        } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-            ok = numberFlag(kCmd, arg, checkpointEvery);
-        } else if (arg == "--resume") {
-            resume = true;
         } else if (arg.rfind("--report-out=", 0) == 0) {
             reportOut = arg.substr(13);
         } else if (arg.rfind("--inject=", 0) == 0) {
@@ -492,20 +478,6 @@ cmdAnalyze(int argc, char **argv)
             return 2;
         }
         faults = parsed.value();
-    }
-    if (resume && checkpointPath.empty()) {
-        std::fprintf(stderr, "--resume requires --checkpoint=PATH\n");
-        return 2;
-    }
-    if (!checkpointPath.empty() && detectorName != "asyncclock") {
-        std::fprintf(
-            stderr, "error: %s\n",
-            Status::error(ErrCode::Unsupported,
-                          "checkpoint/resume is only supported with "
-                          "the asyncclock detector")
-                .toString()
-                .c_str());
-        return 1;
     }
 
     // Observability: a registry when anything consumes metrics
@@ -542,81 +514,7 @@ cmdAnalyze(int argc, char **argv)
         warnTap =
             std::make_unique<obs::WarnTap>(registry, events.get());
 
-    // Checker topology: a bare FastTrackChecker, zero extra layers on
-    // the clean path; with --checkpoint, behind a ResumeFilter (the
-    // filter counts accesses for snapshots and discards replayed ones
-    // on resume).
-    report::FastTrackChecker fasttrack;
-    std::unique_ptr<report::ResumeFilter> filterOwned;
-    report::AccessChecker *checker = &fasttrack;
-    report::ResumeFilter *filter = nullptr;
-
-    report::CheckpointMeta identity; // trace size + hash
-    bool ckptLoaded = false;
-    std::uint8_t ckptModelTag = report::kModelTagLooper;
-    if (!checkpointPath.empty()) {
-        auto id = report::traceIdentity(argv[2]);
-        if (!id) {
-            std::fprintf(stderr, "error: %s\n",
-                         id.status().toString().c_str());
-            return 1;
-        }
-        identity = id.value();
-        std::uint64_t skip = 0;
-        if (resume) {
-            std::ifstream probe(checkpointPath, std::ios::binary);
-            if (!probe) {
-                std::fprintf(stderr,
-                             "no checkpoint at %s; starting fresh\n",
-                             checkpointPath.c_str());
-            } else {
-                probe.close();
-                auto loaded = report::loadCheckpoint(checkpointPath,
-                                                     fasttrack);
-                if (!loaded) {
-                    std::fprintf(stderr, "error: %s\n",
-                                 loaded.status().toString().c_str());
-                    return 1;
-                }
-                if (loaded.value().traceBytes != identity.traceBytes ||
-                    loaded.value().traceHash != identity.traceHash) {
-                    std::fprintf(
-                        stderr, "error: %s\n",
-                        Status::error(
-                            ErrCode::ParseError,
-                            "checkpoint was taken against a different "
-                            "trace (size/hash mismatch); refusing to "
-                            "resume")
-                            .toString()
-                            .c_str());
-                    return 1;
-                }
-                ckptLoaded = true;
-                ckptModelTag = loaded.value().modelTag;
-                skip = loaded.value().accessesChecked;
-                std::printf("resuming from %s: replaying %llu op(s), "
-                            "skipping %llu checked access(es)\n",
-                            checkpointPath.c_str(),
-                            (unsigned long long)
-                                loaded.value().opsProcessed,
-                            (unsigned long long)skip);
-                if (octx.events)
-                    octx.events->log(
-                        obs::EventLog::Severity::Info,
-                        "checkpoint.resumed",
-                        strf("replaying %llu op(s), skipping %llu "
-                             "checked access(es)",
-                             (unsigned long long)
-                                 loaded.value().opsProcessed,
-                             (unsigned long long)skip),
-                        loaded.value().opsProcessed);
-            }
-        }
-        filterOwned =
-            std::make_unique<report::ResumeFilter>(fasttrack, skip);
-        filter = filterOwned.get();
-        checker = filter;
-    }
+    report::FastTrackChecker checker;
 
     auto opened = trace::tryOpenTraceSource(argv[2], policy, faults);
     if (!opened) {
@@ -654,24 +552,9 @@ cmdAnalyze(int argc, char **argv)
             return 1;
         }
     }
-    const std::uint8_t myModelTag = model == core::ModelKind::Async
-                                        ? report::kModelTagAsync
-                                        : report::kModelTagLooper;
-    identity.modelTag = myModelTag;
-    if (ckptLoaded && ckptModelTag != myModelTag) {
-        std::fprintf(
-            stderr, "error: %s\n",
-            Status::error(ErrCode::Unsupported,
-                          "checkpoint was taken under a different "
-                          "causality model; resume would replay a "
-                          "different access sequence — refusing")
-                .toString()
-                .c_str());
-        return 1;
-    }
     if (detectorName == "asyncclock") {
         auto ac = std::make_unique<core::DetectorEngine>(
-            model, source, *checker, cfg);
+            model, source, checker, cfg);
         ac->attachObs(octx);
         acDetector = ac.get();
         detector = std::move(ac);
@@ -687,7 +570,7 @@ cmdAnalyze(int argc, char **argv)
             return 1;
         }
         detector = std::make_unique<graph::EventRacerDetector>(
-            source, *checker, graph::EventRacerConfig{});
+            source, checker, graph::EventRacerConfig{});
     } else {
         return usage();
     }
@@ -701,8 +584,6 @@ cmdAnalyze(int argc, char **argv)
                                 });
     }
     obs::ProgressMeter meter(progressEvery);
-    if (checkpointEvery == 0)
-        checkpointEvery = 1000000;
 
     // Live telemetry endpoint. The publisher runs on this (pipeline)
     // thread — registry callbacks read detector-owned fields, so
@@ -713,7 +594,7 @@ cmdAnalyze(int argc, char **argv)
         s.ops = ops;
         s.liveBytes = mem.liveTotal();
         s.peakBytes = mem.peakTotal();
-        s.races = checker->racesFound();
+        s.races = checker.racesFound();
         return s;
     };
     std::unique_ptr<obs::SnapshotPublisher> publisher;
@@ -746,26 +627,6 @@ cmdAnalyze(int argc, char **argv)
             if (server && support::shutdownRequested()) {
                 interrupted = true;
                 break;
-            }
-        }
-        if (filter && (n % checkpointEvery) == 0 &&
-            !filter->replaying()) {
-            // Don't snapshot while still replaying: the restored
-            // checker state covers `skip` accesses, not accessesSeen().
-            report::CheckpointMeta meta = identity;
-            meta.opsProcessed = n;
-            meta.accessesChecked = filter->accessesSeen();
-            if (Status st = report::saveCheckpoint(checkpointPath,
-                                                  meta, fasttrack);
-                !st) {
-                std::fprintf(stderr, "checkpoint failed: %s\n",
-                             st.toString().c_str());
-            } else if (octx.events) {
-                octx.events->log(
-                    obs::EventLog::Severity::Info, "checkpoint.saved",
-                    strf("%llu access(es) checked",
-                         (unsigned long long)filter->accessesSeen()),
-                    n);
             }
         }
         if (meter.due(n)) {
@@ -849,7 +710,7 @@ cmdAnalyze(int argc, char **argv)
     report::ReportSummary summary = [&] {
         obs::ScopedSpan span(octx.tracer, obs::kMainTrack,
                              "report_export");
-        return analyzer.analyze(checker->races(), filters);
+        return analyzer.analyze(checker.races(), filters);
     }();
 
     // Caveat notes: anything that makes this report less than
@@ -885,7 +746,7 @@ cmdAnalyze(int argc, char **argv)
         // user-induced filter as the report; commutativity-filtered
         // pairs stay in, so replay cross-checks the whitelist.
         std::vector<report::RaceReport> candidates;
-        for (const report::RaceReport &race : checker->races()) {
+        for (const report::RaceReport &race : checker.races()) {
             if (filters.userInducedOnly &&
                 (!analyzer.userInduced(race.prevSite) ||
                  !analyzer.userInduced(race.curSite))) {
@@ -925,7 +786,7 @@ cmdAnalyze(int argc, char **argv)
         // it gets the unfiltered race list: a framework-noise race is
         // still an observed pair, not a prediction.
         pres = predict::runPrediction(replayTr.value(),
-                                      checker->races(), pcfg);
+                                      checker.races(), pcfg);
         std::printf("\nprediction: %llu replay(s) in %.3fs\n",
                     (unsigned long long)pres.summary.replays,
                     pres.summary.wallSec);
@@ -1003,8 +864,9 @@ cmdAnalyze(int argc, char **argv)
     }
     std::printf("\n%s", reportText.c_str());
     if (!reportOut.empty()) {
-        // Machine-diffable copy (CI compares a resumed run's report
-        // against an uninterrupted one, byte for byte).
+        // Machine-diffable copy (CI compares repeated runs' reports,
+        // and daemon reports against single-shot ones, byte for
+        // byte).
         writeTextFile(reportOut, reportText);
         std::printf("wrote report to %s\n", reportOut.c_str());
     }
@@ -1014,13 +876,14 @@ cmdAnalyze(int argc, char **argv)
 // ----- daemon mode ----------------------------------------------------
 
 int
-cmdDaemon(int argc, char **argv, int firstArg, int port)
+cmdDaemon(int argc, char **argv)
 {
     daemon::DaemonConfig dcfg;
     dcfg.stateDir = "./asyncclockd-state";
+    int port = 0;
     std::string eventsOut;
     constexpr const char *kCmd = "daemon";
-    for (int i = firstArg; i < argc; ++i) {
+    for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
         bool ok = true;
         if (arg.rfind("--port=", 0) == 0) {
@@ -1204,7 +1067,8 @@ cmdFeed(int argc, char **argv)
         } else if (arg.rfind("--session=", 0) == 0) {
             sessionId = arg.substr(10);
         } else if (arg.rfind("--chunk-bytes=", 0) == 0) {
-            ok = numberFlag(kCmd, arg, chunkBytes);
+            ok = numberFlag(kCmd, arg, chunkBytes) &&
+                 (chunkBytes > 0 || badValue(kCmd, arg));
         } else if (arg.rfind("--report-out=", 0) == 0) {
             reportOut = arg.substr(13);
         } else if (arg.rfind("--interleave-file=", 0) == 0) {
@@ -1221,7 +1085,7 @@ cmdFeed(int argc, char **argv)
         if (!ok)
             return 2;
     }
-    if (port <= 0 || sessionId.empty() || chunkBytes == 0) {
+    if (port <= 0 || sessionId.empty()) {
         std::fprintf(stderr,
                      "feed: --port=P and --session=ID required\n");
         return 2;
@@ -1408,13 +1272,7 @@ main(int argc, char **argv)
     if (std::strcmp(argv[1], "analyze") == 0)
         return cmdAnalyze(argc, argv);
     if (std::strcmp(argv[1], "daemon") == 0)
-        return cmdDaemon(argc, argv, 2, 0);
-    if (std::strncmp(argv[1], "--daemon=", 9) == 0) {
-        int port = 0;
-        if (!numberFlag("daemon", argv[1], port, 65535))
-            return 2;
-        return cmdDaemon(argc, argv, 2, port);
-    }
+        return cmdDaemon(argc, argv);
     if (std::strcmp(argv[1], "feed") == 0)
         return cmdFeed(argc, argv);
     return usage();

@@ -4,7 +4,7 @@
  * the process-wide join counters.
  *
  * Every consumer of causal timestamps (detector, FastTrack checkers,
- * gold closure, EventRacer graph, checkpoints, replay verifier) talks
+ * gold closure, EventRacer graph, replay verifier) talks
  * to clock::VectorClock (clock/vector_clock.hh). This header holds the
  * types they share with it plus ClockStats, the cheap relaxed-atomic
  * counters behind the obs clock.* metrics (join counts, join sizes,

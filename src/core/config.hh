@@ -52,9 +52,9 @@ struct DetectorConfig
      * Later rungs trade recall for memory exactly like a smaller
      * configured window would; counters record each rung so the
      * report can state the recall impact. Checker bytes are excluded
-     * from the measure: they are access-history driven, and the
-     * ladder must make the same decisions when a checkpointed run is
-     * replayed.
+     * from the measure: they are access-history driven and no rung
+     * can shrink them, so counting them would only push the ladder
+     * into rungs that cannot bring it back under budget.
      */
     std::uint64_t memBudgetBytes = 0;
 

@@ -222,8 +222,7 @@ void
 DetectorEngine::relieveMemoryPressure(std::uint64_t now)
 {
     // Checker bytes are deliberately excluded (see the config doc):
-    // the ladder must fire identically when a checkpointed run is
-    // replayed against a restored checker.
+    // no rung can shrink checker state.
     auto overBudget = [this] {
         return model_->modelBytes() > cfg_.memBudgetBytes;
     };

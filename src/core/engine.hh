@@ -117,7 +117,6 @@ class DetectorEngine : public report::Detector
     std::uint32_t numChains() const { return model_->numChains(); }
 
     /** The causality model this engine hosts. */
-    ModelKind modelKind() const { return model_->kind(); }
     const CausalityModel &model() const { return *model_; }
 
     // ----- services for the plugged-in model ------------------------

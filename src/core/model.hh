@@ -153,9 +153,9 @@ class CausalityModel
      * the oracle memoryBytes() is tested against. */
     virtual MemCatBytes walkMemoryBytes() const = 0;
 
-    /** Live model-metadata bytes, excluding the checker (the
-     * pressure ladder keys off this — see checkpoint.hh for why the
-     * checker is excluded). */
+    /** Live model-metadata bytes, excluding the checker: the pressure
+     * ladder keys off this, and no rung can shrink checker state (see
+     * DetectorConfig::memBudgetBytes). */
     std::uint64_t modelBytes() const { return memoryBytes().total(); }
 
     /** Register model-specific ("model.*") metrics. Called once from

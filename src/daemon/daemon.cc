@@ -248,8 +248,10 @@ Daemon::housekeepOnce()
     }
 
     // Memory ladder: evict coldest-first until under budget. tryEvict
-    // refuses scheduled/active/finished sessions, so the ladder only
-    // ever takes truly idle state.
+    // refuses only a session a worker is pumping right now or one
+    // still replaying toward its last teardown point; queued sessions
+    // and finished ones still pumping toward their report are idle
+    // between slices, so the ladder may take them.
     if (cfg_.memBudgetBytes > 0 && mem > cfg_.memBudgetBytes) {
         std::sort(hot.begin(), hot.end(),
                   [](const auto &a, const auto &b) {
@@ -536,8 +538,8 @@ Daemon::drain()
         s->closeIngest();
     stopThreads();
     // Flush with workers gone: finished sessions run to their final
-    // report, unfinished hot ones checkpoint, terminal states are
-    // already durable.
+    // report, unfinished hot ones are evicted (the spool is their
+    // state), terminal states are already durable.
     for (auto &s : all)
         s->drainFlush();
 
@@ -559,8 +561,8 @@ Daemon::crashStop()
     listener_.stop();
     stopThreads();
     // Deliberately no flush: hot state dies here, exactly as under
-    // SIGKILL. Spools, checkpoints, and meta files stay as last
-    // written; recovery must rebuild from them alone.
+    // SIGKILL. Spools and meta files stay as last written; recovery
+    // must rebuild from them alone.
     {
         std::lock_guard<std::mutex> lock(smu_);
         sessions_.clear();

@@ -1,7 +1,7 @@
 /**
  * @file
  * The always-on analysis daemon (`asyncclockd`, exposed as
- * `trace_analyzer daemon` / `--daemon=PORT`).
+ * `trace_analyzer daemon --port=N`).
  *
  * One process multiplexes many concurrent trace sessions, each an
  * independent streaming analysis (see daemon/session.hh), behind an
@@ -31,8 +31,8 @@
  *
  * The housekeeper thread owns the control loops the workers must not
  * block on: the LRU eviction ladder (while resident detector+checker
- * bytes exceed --mem-budget, checkpoint the coldest evictable session
- * to disk), idle-session eviction, the per-session watchdog (a work()
+ * bytes exceed --mem-budget, tear down the coldest evictable session;
+ * its spool rebuilds it later), idle-session eviction, the per-session watchdog (a work()
  * call exceeding the stall budget poisons the session; the pump
  * quarantines it at the next op boundary), gauge refresh, and
  * telemetry snapshot publishing (the registry holds only real
@@ -48,10 +48,10 @@
  * Drain (SIGTERM/SIGINT): stop admitting (503), close every ingest
  * queue (waking blocked producers immediately), stop the workers,
  * then flush each session — finished ones are pumped to their final
- * report, unfinished hot ones are checkpointed — and exit 0. A
- * SIGKILLed daemon skips all of that and still loses nothing but hot
- * detector state: restart rebuilds every session from its spool (+
- * checkpoint when one was written), and reports stay byte-identical.
+ * report, unfinished hot ones are evicted — and exit 0. A SIGKILLed
+ * daemon skips all of that and still loses nothing but hot detector
+ * state: restart rebuilds every session from its spool, and reports
+ * stay byte-identical.
  */
 
 #ifndef ASYNCCLOCK_DAEMON_DAEMON_HH
@@ -129,14 +129,14 @@ class Daemon
     /**
      * Graceful drain: refuse new admissions, close every ingest
      * queue, stop the workers, flush every session (finished -> final
-     * report, unfinished hot -> checkpoint), publish a last snapshot,
+     * report, unfinished hot -> evicted), publish a last snapshot,
      * stop HTTP. Idempotent.
      */
     void drain();
 
     /** Tear down without flushing anything — the SIGKILL stand-in for
      * crash-recovery tests. Stops threads and drops hot state; spools
-     * and checkpoints stay as they were. */
+     * and meta files stay as they were. */
     void crashStop();
 
     std::size_t sessionCount();

@@ -123,12 +123,6 @@ Session::metaPath() const
 }
 
 std::string
-Session::ckptPath() const
-{
-    return cfg_.stateDir + "/" + id_ + ".ckpt";
-}
-
-std::string
 Session::reportPath() const
 {
     return cfg_.stateDir + "/" + id_ + ".report";
@@ -187,7 +181,7 @@ Session::recover()
         state_ = SessionState::Finished;
     } else {
         // "live" from the previous process means the engine died with
-        // it; rebuild from spool (+ checkpoint, if one was written).
+        // it; rebuild from the spool.
         state_ = SessionState::Evicted;
         error_.clear();
     }
@@ -411,34 +405,10 @@ Session::ensureHotLocked()
     if (!opened)
         return opened.status();
     spool_ = opened.take();
-    const core::ModelKind model =
-        core::modelForDialect(spool_->source().meta().dialect());
-    const std::uint8_t myTag = model == core::ModelKind::Async
-                                   ? report::kModelTagAsync
-                                   : report::kModelTagLooper;
-
     checker_ = std::make_unique<report::FastTrackChecker>();
-    std::uint64_t skip = 0;
-    if (fileExists(ckptPath())) {
-        Expected<report::CheckpointMeta> loaded =
-            report::loadCheckpoint(ckptPath(), *checker_);
-        if (loaded && loaded.value().modelTag == myTag) {
-            skip = loaded.value().accessesChecked;
-        } else {
-            // Damaged or stale checkpoint: a full replay from the
-            // spool reproduces the same state, just slower.
-            logEvent(obs::EventLog::Severity::Warn,
-                     "session.ckpt_discarded",
-                     loaded ? "model tag mismatch"
-                            : loaded.status().toString());
-            checker_ = std::make_unique<report::FastTrackChecker>();
-            std::remove(ckptPath().c_str());
-        }
-    }
-    filter_ =
-        std::make_unique<report::ResumeFilter>(*checker_, skip);
     engine_ = std::make_unique<core::DetectorEngine>(
-        model, spool_->source(), *filter_, cfg_.detector);
+        core::modelForDialect(spool_->source().meta().dialect()),
+        spool_->source(), *checker_, cfg_.detector);
     obs::ObsContext octx;
     octx.events = cfg_.events;
     engine_->attachObs(octx);
@@ -446,8 +416,8 @@ Session::ensureHotLocked()
         ++resumes_;
         bumpMetric("daemon.resumes_total");
         logEvent(obs::EventLog::Severity::Info, "session.resumed",
-                 strf("%s: skipping %llu checked access(es)",
-                      id_.c_str(), (unsigned long long)skip));
+                 strf("%s: replaying %llu op(s) from the spool",
+                      id_.c_str(), (unsigned long long)lastOps_));
     }
     state_ = SessionState::Live;
     writeMetaLocked();
@@ -457,10 +427,9 @@ Session::ensureHotLocked()
 void
 Session::teardownEngineLocked()
 {
-    // Borrow order: engine -> (spool, filter) -> checker. The spool
-    // is destroyed whole, so its source goes before its file.
+    // Borrow order: engine -> (spool, checker). The spool is
+    // destroyed whole, so its source goes before its file.
     engine_.reset();
-    filter_.reset();
     checker_.reset();
     spool_.reset();
 }
@@ -535,7 +504,6 @@ Session::finalizeLocked()
     lastOps_ = engine_->opsProcessed();
     lastRaces_ = checker_->racesFound();
     teardownEngineLocked();
-    std::remove(ckptPath().c_str());
     state_ = SessionState::Finished;
     writeMetaLocked();
     logEvent(obs::EventLog::Severity::Info, "session.finished",
@@ -592,7 +560,7 @@ Session::tryEvict()
     // Scheduled-but-queued sessions (and finished ones still pumping
     // toward their report) are fair game: they are idle right now,
     // their memory is real, and the next work() call transparently
-    // resumes from the checkpoint.
+    // rebuilds from the spool.
     return evictLocked();
 }
 
@@ -601,23 +569,8 @@ Session::evictLocked()
 {
     if (state_ != SessionState::Live || !engine_)
         return false;
-    if (filter_->replaying())
-        return false;  // restored state covers skip, not seen
-    report::CheckpointMeta meta;
-    meta.opsProcessed = engine_->opsProcessed();
-    meta.accessesChecked = filter_->accessesSeen();
-    meta.traceBytes = spooled_;
-    meta.traceHash = 0;  // spool identity is daemon-owned
-    meta.modelTag = engine_->modelKind() == core::ModelKind::Async
-                        ? report::kModelTagAsync
-                        : report::kModelTagLooper;
-    if (Status st = report::saveCheckpoint(ckptPath(), meta,
-                                           *checker_);
-        !st) {
-        warn(strf("daemon: cannot checkpoint session %s: %s",
-                  id_.c_str(), st.toString().c_str()));
-        return false;  // stay hot rather than lose state
-    }
+    if (engine_->opsProcessed() < lastOps_)
+        return false;  // replay is the only progress it has
     lastOps_ = engine_->opsProcessed();
     lastRaces_ = checker_->racesFound();
     teardownEngineLocked();
@@ -625,7 +578,7 @@ Session::evictLocked()
     ++evictions_;
     writeMetaLocked();
     logEvent(obs::EventLog::Severity::Info, "session.evicted",
-             strf("%s: checkpointed at %llu op(s)", id_.c_str(),
+             strf("%s: torn down at %llu op(s)", id_.c_str(),
                   (unsigned long long)lastOps_));
     bumpMetric("daemon.evictions_total");
     return true;
@@ -673,8 +626,9 @@ Session::removeFiles()
 {
     std::remove(spoolPath().c_str());
     std::remove(metaPath().c_str());
-    std::remove(ckptPath().c_str());
     std::remove(reportPath().c_str());
+    // Older builds wrote a checker checkpoint next to the spool.
+    std::remove((cfg_.stateDir + "/" + id_ + ".ckpt").c_str());
     return Status::ok();
 }
 

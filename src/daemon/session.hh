@@ -8,19 +8,18 @@
  *
  *   <id>.spool   append-only raw trace bytes, exactly as ingested
  *   <id>.meta    key=value state record (state, finished, error)
- *   <id>.ckpt    ACCP v3 checkpoint of the checker (evicted sessions)
  *   <id>.report  the final race report text (finished sessions)
  *
  * and its hot form is the familiar streaming pipeline — the spool
  * opened by trace::tryOpenTraceSource (the opener analyze uses), a
- * FastTrackChecker behind a ResumeFilter, and a DetectorEngine —
- * built lazily and torn down freely. Because the detector is a
- * deterministic function of the spool bytes and the checkpoint is a
- * logical snapshot (see report/checkpoint.hh), a session can be
- * evicted to disk and resumed any number of times, or the whole
- * process can be SIGKILLed and restarted, and the final report stays
- * byte-identical to a single-shot `trace_analyzer analyze` over the
- * same bytes.
+ * FastTrackChecker and a DetectorEngine — built lazily and torn down
+ * freely. Resume is replay: the detector and the checker are
+ * deterministic functions of the spool bytes, so a rebuilt pipeline
+ * replays the spool from op 0 with a fresh checker and reaches the
+ * same state. A session can therefore be evicted and resumed any
+ * number of times, or the whole process can be SIGKILLed and
+ * restarted, and the final report stays byte-identical to a
+ * single-shot `trace_analyzer analyze` over the same bytes.
  *
  * Live-edge discipline: streaming decoders treat EOF as truncation,
  * so the pump never decodes within `margin_` bytes of the spool's
@@ -56,7 +55,6 @@
 #include "core/engine.hh"
 #include "obs/event_log.hh"
 #include "obs/metrics.hh"
-#include "report/checkpoint.hh"
 #include "report/fasttrack.hh"
 #include "report/races.hh"
 #include "support/bounded_queue.hh"
@@ -67,7 +65,7 @@ namespace asyncclock::daemon {
 
 enum class SessionState : std::uint8_t {
     Live,         ///< engine hot in memory (or about to be)
-    Evicted,      ///< cold: state lives in spool + checkpoint files
+    Evicted,      ///< cold: the spool is the whole state
     Quarantined,  ///< poisoned: isolated, serves only its error
     Finished,     ///< report written; spool + report remain
 };
@@ -136,8 +134,8 @@ class Session
 
     /** Adopt the on-disk form left by a previous process (after a
      * restart — including one that was SIGKILLed). The session comes
-     * back cold; analysis state rebuilds from spool + checkpoint on
-     * first touch. */
+     * back cold; analysis state rebuilds from the spool on first
+     * touch. */
     Status recover();
 
     const std::string &id() const { return id_; }
@@ -193,13 +191,16 @@ class Session
     void poison() { poisoned_.store(true, std::memory_order_release); }
 
     /**
-     * Checkpoint the checker to <id>.ckpt and free the hot pipeline.
-     * Refuses (returns false) when the session is not hot, is
-     * mid-replay (a snapshot there would rewind the skip point), or
-     * is actively being worked — eviction must never disturb a
-     * running pump. A session merely waiting in the run queue IS
-     * evictable: it is idle, its memory is real, and the next work()
-     * call resumes it from the checkpoint transparently.
+     * Free the hot pipeline; the spool keeps everything needed to
+     * rebuild it. Refuses (returns false) when the session is not
+     * hot, is actively being worked — eviction must never disturb a
+     * running pump — or is still replaying toward the op count it
+     * had at its last teardown: that replay is the only progress it
+     * has, and evicting it would throw the replay away. A session
+     * merely waiting in the run queue IS evictable, and so is a
+     * finished one still pumping toward its report: both are idle
+     * between work() calls, their memory is real, and the next
+     * work() call rebuilds them from the spool transparently.
      */
     bool tryEvict();
 
@@ -210,8 +211,9 @@ class Session
     void closeIngest();
 
     /** Drain-time flush: a finished session is pumped to its report;
-     * an unfinished hot one is checkpointed; cold/terminal states are
-     * already durable. Called with workers stopped. */
+     * an unfinished hot one is evicted (its spool is its state);
+     * cold/terminal states are already durable. Called with workers
+     * stopped. */
     void drainFlush();
 
     /** Delete every on-disk artifact of this session. */
@@ -219,7 +221,6 @@ class Session
 
     std::string spoolPath() const;
     std::string metaPath() const;
-    std::string ckptPath() const;
     std::string reportPath() const;
 
   private:
@@ -261,7 +262,8 @@ class Session
     std::uint64_t spooled_ = 0;
     std::uint64_t evictions_ = 0;
     std::uint64_t resumes_ = 0;
-    /** Ops/races at last teardown, so info() stays meaningful cold. */
+    /** Ops/races at last teardown, so info() stays meaningful cold;
+     * a rebuilt engine below lastOps_ is still replaying. */
     std::uint64_t lastOps_ = 0;
     std::uint64_t lastRaces_ = 0;
 
@@ -276,11 +278,10 @@ class Session
     std::ofstream spoolOut_;
 
     // Hot pipeline (all null when cold). Teardown order matters:
-    // engine first (borrows the spool's source + filter), then
-    // filter (borrows checker); the spool owns its source and file.
+    // the engine borrows the spool's source and the checker, so it
+    // goes first; the spool owns its source and file.
     std::optional<trace::OpenedSource> spool_;
     std::unique_ptr<report::FastTrackChecker> checker_;
-    std::unique_ptr<report::ResumeFilter> filter_;
     std::unique_ptr<core::DetectorEngine> engine_;
 
     static constexpr std::uint64_t kDefaultMargin = 64 * 1024;

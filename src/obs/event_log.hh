@@ -2,10 +2,10 @@
  * @file
  * Structured JSONL event log: machine-readable lifecycle records.
  *
- * Long runs emit a small number of *load-bearing* events — a
- * checkpoint was written or resumed, the memory-pressure ladder took
- * a step, a daemon watchdog fired, the protocol-violation budget ran
- * out, a corrupt record was skipped. Today those are fire-and-forget
+ * Long runs emit a small number of *load-bearing* events — the
+ * memory-pressure ladder took a step, a daemon session was evicted
+ * or resumed, a daemon watchdog fired, the protocol-violation budget
+ * ran out, a corrupt record was skipped. Today those are fire-and-forget
  * stderr warnings; the EventLog turns each into one JSON object per
  * line:
  *
@@ -55,7 +55,7 @@ class EventLog
 
     /**
      * Append one record. @p kind is a dotted lowercase taxonomy tag
-     * ("checkpoint.saved", "daemon.watchdog", ...); @p op is the
+     * ("pressure.shrink", "daemon.watchdog", ...); @p op is the
      * producer's op offset (0 when not meaningful). Thread-safe;
      * flushes the line before returning.
      */

@@ -79,8 +79,8 @@ class AccessChecker
 
     /**
      * Count of races found so far, polled mid-run by heartbeats and
-     * gauges. Wrapping checkers (ResumeFilter) forward it to the
-     * checker they wrap.
+     * gauges. A checker that wraps another forwards it to the one it
+     * wraps.
      */
     virtual std::uint64_t racesFound() const
     {

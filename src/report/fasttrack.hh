@@ -18,11 +18,9 @@
 #ifndef ASYNCCLOCK_REPORT_FASTTRACK_HH
 #define ASYNCCLOCK_REPORT_FASTTRACK_HH
 
-#include <iosfwd>
 #include <vector>
 
 #include "report/checker.hh"
-#include "support/status.hh"
 
 namespace asyncclock::report {
 
@@ -43,20 +41,6 @@ class FastTrackChecker : public AccessChecker
     /** The same number walked over every read clock: the oracle
      * byteSize() is tested against. */
     std::uint64_t walkByteSize() const;
-
-    /**
-     * Serialize the complete checker state — every VarState (epochs,
-     * read VCs, provenance) and the races found so far — so a
-     * checkpointed run restores to exactly this machine. The epoch
-     * state machine is deterministic in its access sequence, so a
-     * restored checker fed the remaining accesses finishes in the
-     * same state as an uninterrupted run (checkpoint.hh builds on
-     * this).
-     */
-    Status saveState(std::ostream &out) const;
-
-    /** Restore state saved by saveState(); replaces current state. */
-    Status loadState(std::istream &in);
 
   private:
     /** FastTrack variable state: last-write epoch plus either a
@@ -79,9 +63,8 @@ class FastTrackChecker : public AccessChecker
 
     std::vector<VarState> vars_;
     std::vector<RaceReport> races_;
-    /** Sum of readVC.byteSize() over vars_. Read clocks only grow by
-     * raiseRead (clear() keeps capacity) or are replaced by loadState,
-     * which re-walks them. */
+    /** Sum of readVC.byteSize() over vars_. Read clocks only grow, by
+     * raiseRead (clear() keeps capacity). */
     std::uint64_t readBytes_ = 0;
 };
 

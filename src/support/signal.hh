@@ -4,7 +4,7 @@
  *
  * A long-lived analysis (an interactive `--serve` run, the
  * `asyncclockd` daemon) must turn SIGINT/SIGTERM into a *graceful*
- * exit: stop admissions, flush sessions to checkpoints or reports,
+ * exit: stop admissions, flush sessions to their spools or reports,
  * then leave with status 0. Signal handlers can do almost nothing
  * safely, so the handler here only records the signal number and
  * writes one byte to a pipe. Everything else polls:

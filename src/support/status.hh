@@ -11,7 +11,7 @@
  * run *cleanly* with a summary instead of taking the process down.
  *
  * Expected<T> is the value-or-Status composition used by the
- * fallible constructors (open a trace source, read a checkpoint).
+ * fallible constructors (open a trace source, load a trace).
  * Both types are cheap when ok: an ok Status is a single enum load
  * and never allocates.
  */

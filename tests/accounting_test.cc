@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -224,34 +223,6 @@ TEST(Accounting, AsyncLadderDecisionsPinned)
             EXPECT_EQ(races[i].curOp, pin.races[i].curOp) << i;
         }
     }
-}
-
-TEST(Accounting, FastTrackTotalMatchesWalkAfterLoadState)
-{
-    trace::Trace anyMemo = looperTrace("AnyMemo");
-    report::FastTrackChecker ran;
-    DetectorEngine eng(ModelKind::Looper, anyMemo, ran, {});
-    eng.runAll();
-    ASSERT_EQ(ran.byteSize(), ran.walkByteSize());
-
-    std::stringstream blob;
-    ASSERT_TRUE(ran.saveState(blob).isOk());
-    const std::string bytes = blob.str();
-
-    report::FastTrackChecker fresh;
-    std::istringstream in(bytes);
-    ASSERT_TRUE(fresh.loadState(in).isOk());
-    EXPECT_EQ(fresh.byteSize(), fresh.walkByteSize());
-
-    // Loading over a populated checker replaces its total too.
-    trace::Trace k9 = looperTrace("K9Mail");
-    report::FastTrackChecker reloaded;
-    DetectorEngine other(ModelKind::Looper, k9, reloaded, {});
-    other.runAll();
-    std::istringstream again(bytes);
-    ASSERT_TRUE(reloaded.loadState(again).isOk());
-    EXPECT_EQ(reloaded.byteSize(), reloaded.walkByteSize());
-    EXPECT_EQ(reloaded.byteSize(), fresh.byteSize());
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Always-on daemon tests, driven in-process through Daemon::handle()
  * with workers = 0 so every pump is deterministic: session lifecycle
- * against single-shot report byte-identity, checkpoint-backed
- * eviction + transparent resume, SIGKILL-style crash recovery,
+ * against single-shot report byte-identity, eviction + transparent
+ * resume by replay from the spool, SIGKILL-style crash recovery,
  * per-session fault isolation (a poisoned session quarantines alone),
  * admission control (backpressure, capacity, duplicate ids), the
  * ingest-gap protocol, graceful drain, and session-id validation.
@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/engine.hh"
 #include "daemon/daemon.hh"
@@ -54,12 +55,24 @@ looperTraceText(std::uint64_t seed, unsigned events)
 }
 
 std::string
-asyncTraceText(std::uint64_t seed)
+asyncTraceText(std::uint64_t seed, std::uint32_t rootTasks = 10)
 {
     workload::AsyncProfile p;
     p.seed = seed;
+    p.rootTasks = rootTasks;
     return trace::writeTraceToString(
         workload::generateAsyncApp(p).trace);
+}
+
+/** Does @p dir hold a `.ckpt` file? Sessions keep no state but their
+ * spool, meta and report, so none may ever appear. */
+bool
+hasCkptFile(const std::string &dir)
+{
+    for (const fs::directory_entry &e : fs::directory_iterator(dir))
+        if (e.path().extension() == ".ckpt")
+            return true;
+    return false;
 }
 
 /** The report a single-shot streaming run over @p data produces —
@@ -220,49 +233,59 @@ TEST(Daemon, InfoReportsProgress)
 
 TEST(Daemon, EvictionAndResumeKeepReportIdentical)
 {
-    const std::string dir = freshDir("daemon_evict");
-    // Big enough that the engine goes hot well before finish (the
-    // live-edge margin is 64 KiB).
-    const std::string data = looperTraceText(5, 4000);
-    ASSERT_GT(data.size(), 300u * 1024);
+    // One input per causality model, each big enough that the engine
+    // goes hot well before finish (the live-edge margin is 64 KiB).
+    const std::pair<const char *, std::string> inputs[] = {
+        {"ev", looperTraceText(5, 4000)},
+        {"eva", asyncTraceText(5, 400)},
+    };
+    for (const auto &[id, data] : inputs) {
+        SCOPED_TRACE(id);
+        ASSERT_GT(data.size(), 300u * 1024);
+        const std::string dir =
+            freshDir(std::string("daemon_evict_") + id);
 
-    DaemonConfig cfg = testConfig(dir);
-    cfg.memBudgetBytes = 1;  // evict anything resident
-    Daemon d(cfg);
-    ASSERT_TRUE(d.init().isOk());
-    ASSERT_EQ(create(d, "ev").status, 201);
+        DaemonConfig cfg = testConfig(dir);
+        cfg.memBudgetBytes = 1;  // evict anything resident
+        Daemon d(cfg);
+        ASSERT_TRUE(d.init().isOk());
+        ASSERT_EQ(create(d, id).status, 201);
 
-    // First half: pump until the engine is hot, then let the
-    // housekeeper's memory ladder checkpoint it out.
-    const std::size_t half = data.size() / 2;
-    feedAll(d, "ev", data.substr(0, half));
-    d.housekeepForTest();
+        // First half: pump until the engine is hot, then let the
+        // housekeeper's memory ladder evict it.
+        const std::size_t half = data.size() / 2;
+        feedAll(d, id, data.substr(0, half));
+        d.housekeepForTest();
 
-    HttpResponse info = d.handle(req("GET", "/v1/sessions/ev"));
-    ASSERT_NE(info.body.find("\"state\":\"evicted\""),
-              std::string::npos)
-        << "session did not evict: " << info.body;
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "ev.ckpt"));
+        const std::string path = std::string("/v1/sessions/") + id;
+        HttpResponse info = d.handle(req("GET", path));
+        ASSERT_NE(info.body.find("\"state\":\"evicted\""),
+                  std::string::npos)
+            << "session did not evict: " << info.body;
+        EXPECT_FALSE(hasCkptFile(dir));
 
-    // Second half + finish: the session resumes transparently.
-    for (std::size_t off = half; off < data.size();
-         off += 16 * 1024) {
-        ASSERT_EQ(post(d, "ev", data.substr(off, 16 * 1024), off)
-                      .status,
-                  200);
-        d.pumpAllForTest();
+        // Second half + finish: the session rebuilds from its spool
+        // and replays transparently.
+        for (std::size_t off = half; off < data.size();
+             off += 16 * 1024) {
+            ASSERT_EQ(post(d, id, data.substr(off, 16 * 1024), off)
+                          .status,
+                      200);
+            d.pumpAllForTest();
+        }
+        ASSERT_EQ(finish(d, id).status, 200);
+        HttpResponse r = fetchReport(d, id);
+        ASSERT_EQ(r.status, 200) << r.body;
+        EXPECT_EQ(r.body, singleShotReport(data));
+
+        info = d.handle(req("GET", path));
+        EXPECT_NE(info.body.find("\"evictions\":"), std::string::npos);
+        EXPECT_EQ(info.body.find("\"evictions\":0"), std::string::npos)
+            << info.body;
+        EXPECT_EQ(info.body.find("\"resumes\":0"), std::string::npos)
+            << info.body;
+        EXPECT_FALSE(hasCkptFile(dir));
     }
-    ASSERT_EQ(finish(d, "ev").status, 200);
-    HttpResponse r = fetchReport(d, "ev");
-    ASSERT_EQ(r.status, 200) << r.body;
-    EXPECT_EQ(r.body, singleShotReport(data));
-
-    info = d.handle(req("GET", "/v1/sessions/ev"));
-    EXPECT_NE(info.body.find("\"evictions\":"), std::string::npos);
-    EXPECT_EQ(info.body.find("\"evictions\":0"), std::string::npos)
-        << info.body;
-    EXPECT_EQ(info.body.find("\"resumes\":0"), std::string::npos)
-        << info.body;
 }
 
 TEST(Daemon, IdleSessionsEvict)
@@ -324,9 +347,9 @@ TEST(Daemon, CrashAndRestartRecoversByteIdenticalReport)
     EXPECT_EQ(r.body, singleShotReport(data));
 }
 
-TEST(Daemon, RestartAfterEvictionResumesFromCheckpoint)
+TEST(Daemon, RestartAfterEvictionRebuildsFromSpool)
 {
-    const std::string dir = freshDir("daemon_crash_ckpt");
+    const std::string dir = freshDir("daemon_crash_evicted");
     const std::string data = looperTraceText(13, 4000);
     const std::size_t cut = data.size() / 2;
 
@@ -337,8 +360,12 @@ TEST(Daemon, RestartAfterEvictionResumesFromCheckpoint)
         ASSERT_TRUE(d.init().isOk());
         ASSERT_EQ(create(d, "ck").status, 201);
         feedAll(d, "ck", data.substr(0, cut));
-        d.housekeepForTest();  // checkpoint to disk
-        ASSERT_TRUE(fs::exists(fs::path(dir) / "ck.ckpt"));
+        d.housekeepForTest();  // evict: the spool is all that is left
+        HttpResponse info = d.handle(req("GET", "/v1/sessions/ck"));
+        ASSERT_NE(info.body.find("\"state\":\"evicted\""),
+                  std::string::npos)
+            << info.body;
+        EXPECT_FALSE(hasCkptFile(dir));
         d.crashStop();
     }
 
@@ -519,9 +546,14 @@ TEST(Daemon, DrainFlushesFinishedAndUnfinishedSessions)
     d.drain();
 
     // Finished session ran to its final report; the unfinished hot
-    // one was checkpointed; admissions are now refused.
+    // one was evicted to its spool; admissions are now refused.
     EXPECT_TRUE(fs::exists(fs::path(dir) / "done.report"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "part.ckpt"));
+    EXPECT_TRUE(fs::exists(fs::path(dir) / "part.spool"));
+    EXPECT_FALSE(hasCkptFile(dir));
+    HttpResponse info = d.handle(req("GET", "/v1/sessions/part"));
+    EXPECT_NE(info.body.find("\"state\":\"evicted\""),
+              std::string::npos)
+        << info.body;
     EXPECT_EQ(create(d, "late").status, 503);
     EXPECT_EQ(post(d, "part", "x", 0).status, 503);
 

@@ -2,19 +2,16 @@
  * @file
  * The model/mechanism seam, exercised from the async side: model
  * selection helpers, AsyncTaskModel recall against the
- * model-parameterized gold closure, and checkpoint/resume identity
- * for an async run (including the v3 model tag's mismatch refusal).
+ * model-parameterized gold closure, and the async workload generator.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 #include <utility>
 
 #include "core/engine.hh"
 #include "gold/closure.hh"
-#include "report/checkpoint.hh"
 #include "report/fasttrack.hh"
 #include "workload/async_workload.hh"
 
@@ -23,12 +20,6 @@ namespace {
 
 using core::DetectorEngine;
 using core::ModelKind;
-
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
 
 // ---------------------------------------------------------------
 // Model selection helpers.
@@ -116,72 +107,6 @@ TEST(AsyncModel, SeededRacesFoundAndConfinedVarsQuiet)
             }
         }
     }
-}
-
-// ---------------------------------------------------------------
-// The mechanism underneath is shared: checkpoint/resume must work
-// unchanged for the async model.
-// ---------------------------------------------------------------
-
-TEST(AsyncModel, ResumeIdenticalToUninterruptedRun)
-{
-    workload::GeneratedAsyncApp app = workload::generateAsyncApp(
-        workload::asyncProfileByName("AsyncPipeline"));
-    const std::string path = tempPath("async_resume.accp");
-
-    report::FastTrackChecker full;
-    {
-        report::ResumeFilter filter(full);
-        DetectorEngine eng(ModelKind::Async, app.trace, filter, {});
-        eng.runAll();
-    }
-    ASSERT_GT(full.races().size(), 0u);
-
-    // Kill mid-run, checkpoint, rebuild everything from the file.
-    std::uint64_t killAt = app.trace.numOps() / 2;
-    {
-        report::FastTrackChecker ft;
-        report::ResumeFilter filter(ft);
-        DetectorEngine eng(ModelKind::Async, app.trace, filter, {});
-        std::uint64_t n = 0;
-        while (n < killAt && eng.processNext())
-            ++n;
-        report::CheckpointMeta meta;
-        meta.opsProcessed = n;
-        meta.accessesChecked = filter.accessesSeen();
-        meta.modelTag = report::kModelTagAsync;
-        ASSERT_TRUE(report::saveCheckpoint(path, meta, ft));
-    }
-    report::FastTrackChecker resumed;
-    auto loaded = report::loadCheckpoint(path, resumed);
-    ASSERT_TRUE(loaded) << loaded.status().toString();
-    EXPECT_EQ(loaded.value().modelTag, report::kModelTagAsync)
-        << "v3 checkpoints must persist the model tag";
-    report::ResumeFilter filter(resumed,
-                                loaded.value().accessesChecked);
-    DetectorEngine eng(ModelKind::Async, app.trace, filter, {});
-    eng.runAll();
-
-    ASSERT_EQ(resumed.races().size(), full.races().size());
-    for (std::size_t i = 0; i < full.races().size(); ++i) {
-        EXPECT_EQ(resumed.races()[i].prevOp, full.races()[i].prevOp);
-        EXPECT_EQ(resumed.races()[i].curOp, full.races()[i].curOp);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(AsyncModel, CheckpointModelTagRoundTrips)
-{
-    const std::string path = tempPath("model_tag.accp");
-    report::FastTrackChecker ft;
-    report::CheckpointMeta meta;
-    meta.modelTag = report::kModelTagAsync;
-    ASSERT_TRUE(report::saveCheckpoint(path, meta, ft));
-    report::FastTrackChecker back;
-    auto loaded = report::loadCheckpoint(path, back);
-    ASSERT_TRUE(loaded);
-    EXPECT_EQ(loaded.value().modelTag, report::kModelTagAsync);
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------

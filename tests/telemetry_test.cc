@@ -544,8 +544,8 @@ TEST(EventLog, WritesWellFormedJsonl)
     ASSERT_NE(f, nullptr);
     {
         obs::EventLog log(f);
-        log.log(obs::EventLog::Severity::Info, "checkpoint.saved",
-                "1024 access(es) checked", 4096);
+        log.log(obs::EventLog::Severity::Info, "session.evicted",
+                "s1: torn down at 4096 op(s)", 4096);
         log.log(obs::EventLog::Severity::Warn, "pressure.shrink",
                 "window halved to 60000 ms", 5000);
         // Hostile message: quotes, backslash, newline, control char.
@@ -575,7 +575,7 @@ TEST(EventLog, WritesWellFormedJsonl)
         EXPECT_EQ(seq, k);  // monotonic, gap-free, from 0
     }
     EXPECT_NE(lines[0].find("\"sev\":\"info\""), std::string::npos);
-    EXPECT_NE(lines[0].find("\"kind\":\"checkpoint.saved\""),
+    EXPECT_NE(lines[0].find("\"kind\":\"session.evicted\""),
               std::string::npos);
     EXPECT_NE(lines[0].find("\"op\":4096"), std::string::npos);
     EXPECT_NE(lines[1].find("\"sev\":\"warn\""), std::string::npos);
