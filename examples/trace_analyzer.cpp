@@ -102,7 +102,8 @@ usage()
         "  --model=looper|async  causality model; inferred from the\n"
         "                   trace's dialect tag, so this flag only\n"
         "                   asserts the expectation (mismatch = error)\n"
-        "  --window-ms=N    time window, 0 = off (default 120000)\n"
+        "  --window-ms=N    looper time window, 0 = off (default\n"
+        "                   120000); async traces have no window\n"
         "  --chains=fifo|greedy               (default fifo)\n"
         "  --no-reclaim     disable heirless-event reclamation\n"
         "  --all-races      disable the user-induced and\n"
@@ -169,7 +170,8 @@ usage()
         "  --admission-timeout-ms=N  ingest wait before 429\n"
         "                   (default 250)\n"
         "  --window-ms=N --all-races --events-out=PATH\n"
-        "                   as for analyze\n"
+        "                   as for analyze (the window applies to\n"
+        "                   looper sessions only)\n"
         "feed options (daemon client; drives one session):\n"
         "  --port=P --session=ID  daemon endpoint + session id\n"
         "  --chunk-bytes=N  ingest chunk size (default 65536)\n"

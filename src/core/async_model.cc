@@ -17,7 +17,7 @@ using trace::Task;
 using trace::ThreadId;
 
 AsyncTaskModel::AsyncTaskModel(DetectorEngine &engine)
-    : engine_(engine), checker_(engine.checker()), cfg_(engine.cfg()),
+    : engine_(engine), checker_(engine.checker()),
       counters_(engine.countersMut())
 {
 }
@@ -42,7 +42,6 @@ AsyncTaskModel::syncEntities()
         spawnVC_.resize(ne);
         settleVC_.resize(ne);
         settleEpoch_.resize(ne);
-        aged_.resize(ne, 0);
         startVtime_.resize(ne, 0);
         taskScope_.resize(ne, kInvalidId);
     }
@@ -93,16 +92,6 @@ AsyncTaskModel::joinInto(ChainId c, const VectorClock &vc)
     dst.joinWith(vc);
     rebook(MemCat::VectorClock, before, dst);
     ++counters_.clockJoins;
-}
-
-void
-AsyncTaskModel::joinWindowFloor(VectorClock &vc)
-{
-    if (window_.version > 0 &&
-        vc.get(window_.marker) < window_.version) {
-        vc.joinWith(window_.vc);
-        ++counters_.clockJoins;
-    }
 }
 
 const char *
@@ -283,20 +272,12 @@ AsyncTaskModel::applyOp(const Operation &op, OpId id)
         break;
       case OpKind::TaskAwait:
         {
-            // Rule AWAIT: settle(C) hb await(C). An aged child's
-            // settle time is covered by the window clock. Awaits and
-            // scope closes are the join-dominated phase of this
-            // model.
+            // Rule AWAIT: settle(C) hb await(C). Awaits and scope
+            // closes are the join-dominated phase of this model.
             PhaseScope timed(engine_, Phase::ClockJoin);
             ChainId c = chainOf(op.task);
-            Chain &ch = chains_[c];
-            if (aged_[op.event]) {
-                std::uint64_t before = ch.vc.byteSize();
-                joinWindowFloor(ch.vc);
-                rebook(MemCat::VectorClock, before, ch.vc);
-            } else if (!ch.vc.knows(settleEpoch_[op.event])) {
+            if (!chains_[c].vc.knows(settleEpoch_[op.event]))
                 joinInto(c, settleVC_[op.event]);
-            }
             tickChain(c);
             ++tasksAwaited_;
         }
@@ -309,8 +290,7 @@ AsyncTaskModel::applyOp(const Operation &op, OpId id)
             ChainId c = chainOf(op.task);
             Epoch e = tickChain(c);
             spawnVC_[op.event].clear();
-            settleTask(op.event, taskScope_[op.event],
-                       chains_[c].vc, e, op.vtime);
+            settleTask(op.event, taskScope_[op.event], chains_[c].vc, e);
             ++tasksCancelled_;
         }
         break;
@@ -345,7 +325,6 @@ AsyncTaskModel::onTaskStart(const Operation &op)
     VectorClock vc = std::move(spawnVC_[e]);
     spawnVC_[e].clear();
     rebook(MemCat::EventMeta, spawnBytes, spawnVC_[e]);
-    joinWindowFloor(vc);
 
     // Reuse a freed chain only when this task's start clock covers
     // the chain's last settle epoch — otherwise stale ticks of the
@@ -380,7 +359,7 @@ AsyncTaskModel::onTaskFinish(const Operation &op)
     ChainId c = taskChain_[e];
     Epoch end = tickChain(c);
     Chain &ch = chains_[c];
-    settleTask(e, taskScope_[e], ch.vc, end, op.vtime);
+    settleTask(e, taskScope_[e], ch.vc, end);
     ch.lastEnd = end;
     freeChains_.push_back(c);
 
@@ -397,8 +376,7 @@ AsyncTaskModel::onTaskFinish(const Operation &op)
 
 void
 AsyncTaskModel::settleTask(EventId task, HandleId scope,
-                           const VectorClock &vc, Epoch settleEpoch,
-                           std::uint64_t vtime)
+                           const VectorClock &vc, Epoch settleEpoch)
 {
     std::uint64_t before = settleVC_[task].byteSize();
     settleVC_[task] = vc;
@@ -413,60 +391,15 @@ AsyncTaskModel::settleTask(EventId task, HandleId scope,
         --scopeOpen_[scope];
     }
     --tasksLive_;
-    if (cfg_.windowMs > 0)
-        settled_.emplace_back(vtime, task);
-}
-
-bool
-AsyncTaskModel::ageWindow(std::uint64_t now)
-{
-    bool aged = false;
-    while (!settled_.empty() &&
-           settled_.front().first + cfg_.windowMs < now) {
-        ageOneSettled();
-        aged = true;
-    }
-    return aged;
-}
-
-void
-AsyncTaskModel::ageOneSettled()
-{
-    EventId e = settled_.front().second;
-    settled_.pop_front();
-    if (aged_[e])
-        return;
-    if (window_.marker == kInvalidId)
-        window_.marker = newChain();
-    std::uint64_t before = window_.vc.byteSize();
-    window_.vc.joinWith(settleVC_[e]);
-    ++counters_.clockJoins;
-    window_.vc.raise(window_.marker, ++window_.version);
-    rebook(MemCat::VectorClock, before, window_.vc);
-    settleVC_[e].clear();
-    aged_[e] = 1;
-    ++windowFolds_;
-    ++counters_.invalidatedByWindow;
 }
 
 void
 AsyncTaskModel::gcSweep()
 {
-    ++counters_.gcSweeps;
     // Unlike the looper model there is no refcounted metadata to
-    // cleanse: per-task clocks are released eagerly (spawn clocks at
-    // start, settle clocks when aged). The sweep only compacts the
-    // free-chain list when retired clocks dominate it.
-    if (freeChains_.size() > 64) {
-        for (ChainId c : freeChains_) {
-            if (window_.version > 0 &&
-                window_.vc.knows(chains_[c].lastEnd)) {
-                // Any future tenant joins the window floor first, so
-                // the stored clock is redundant.
-                chains_[c].vc.clear();
-            }
-        }
-    }
+    // cleanse: spawn clocks are released at the start, and a settle
+    // clock stays for later awaits. The sweep only counts.
+    ++counters_.gcSweeps;
 }
 
 void
@@ -487,8 +420,6 @@ AsyncTaskModel::registerModelMetrics(obs::MetricsRegistry &reg)
                   [this] { return tasksCancelled_; });
     reg.counterFn("model.scopes_closed",
                   [this] { return scopesClosed_; });
-    reg.counterFn("model.window_folds",
-                  [this] { return windowFolds_; });
     reg.gaugeFn("model.tasks_live", [this] {
         return static_cast<std::int64_t>(tasksLive_);
     });
@@ -497,9 +428,7 @@ AsyncTaskModel::registerModelMetrics(obs::MetricsRegistry &reg)
 MemCatBytes
 AsyncTaskModel::memoryBytes() const
 {
-    MemCatBytes b = booked_;
-    b[MemCat::Other] += settled_.size() * sizeof(settled_.front());
-    return b;
+    return booked_;
 }
 
 MemCatBytes
@@ -519,8 +448,6 @@ AsyncTaskModel::walkMemoryBytes() const
         for (const VectorClock &vc : *clocks)
             b[MemCat::VectorClock] += vc.byteSize();
     }
-    b[MemCat::VectorClock] += window_.vc.byteSize();
-    b[MemCat::Other] += settled_.size() * sizeof(settled_.front());
     return b;
 }
 

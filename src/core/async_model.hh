@@ -23,21 +23,20 @@
  * await/scope edge intervenes, which is exactly where the seeded
  * races of the async workload live.
  *
- * Scalability mirrors the looper model in miniature: settled tasks
- * older than the time window fold into a single window clock (version
- * epoch on a marker chain, so repeat joins are skipped), their chains
- * are recycled, and the engine's memory-pressure ladder drives the
- * same aging and sweep hooks (gcSweep() is its first rung).
+ * There is no time window: the paper's window (section 4.1) stands in
+ * for old events of a looper queue, and a task graph has no queues.
+ * Each task keeps one settle clock for later awaits and scope closes,
+ * and its chain is recycled once a successor's start clock covers the
+ * chain's last settle. Of the engine's memory-pressure ladder only the
+ * first rung, gcSweep(), applies.
  */
 
 #ifndef ASYNCCLOCK_CORE_ASYNC_MODEL_HH
 #define ASYNCCLOCK_CORE_ASYNC_MODEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "core/config.hh"
 #include "core/engine.hh"
 #include "core/model.hh"
 #include "trace/source.hh"
@@ -54,7 +53,6 @@ class AsyncTaskModel : public CausalityModel
     void syncEntities() override;
     const char *admitOp(const trace::Operation &op) override;
     void applyOp(const trace::Operation &op, trace::OpId id) override;
-    bool ageWindow(std::uint64_t now) override;
     void gcSweep() override;
     void syncDerivedCounters() override;
     std::uint32_t numChains() const override
@@ -80,16 +78,6 @@ class AsyncTaskModel : public CausalityModel
         Epoch lastEnd{};
     };
 
-    /** The window clock all aged settle times fold into. One per run
-     * (tasks have no queues); versioned on a marker chain so a clock
-     * that already saw the current version skips the join. */
-    struct WindowClock
-    {
-        VectorClock vc;
-        ChainId marker = trace::kInvalidId;
-        clock::Tick version = 0;
-    };
-
     enum class ThreadPhase : std::uint8_t { Unstarted, Running, Ended };
     enum class TaskPhase : std::uint8_t {
         Unspawned,
@@ -105,9 +93,6 @@ class AsyncTaskModel : public CausalityModel
     Epoch tickChain(ChainId c);
     /** Join @p vc into @p c's clock (counted). */
     void joinInto(ChainId c, const VectorClock &vc);
-    /** Join the window clock into @p vc if it does not already carry
-     * the current window version. */
-    void joinWindowFloor(VectorClock &vc);
     /** Book the change of @p vc, measured @p before bytes before the
      * change, under @p cat. Every clock is re-booked where it changes:
      * byteSize() of a clock costs O(1). */
@@ -120,17 +105,13 @@ class AsyncTaskModel : public CausalityModel
     void onTaskStart(const trace::Operation &op);
     void onTaskFinish(const trace::Operation &op);
     /** Settle bookkeeping shared by finish and cancel: record the
-     * settle clock, close the scope slot, queue for window aging. */
+     * settle clock and close the scope slot. */
     void settleTask(trace::EventId task, trace::HandleId scope,
-                    const VectorClock &vc, Epoch settleEpoch,
-                    std::uint64_t vtime);
-    /** Fold the oldest settled task into the window clock. */
-    void ageOneSettled();
+                    const VectorClock &vc, Epoch settleEpoch);
 
     DetectorEngine &engine_;
     /** Engine-owned services (see looper_model.hh). */
     report::AccessChecker &checker_;
-    const DetectorConfig &cfg_;
     DetectorCounters &counters_;
 
     std::vector<Chain> chains_;
@@ -141,11 +122,10 @@ class AsyncTaskModel : public CausalityModel
     std::vector<ChainId> freeChains_;
 
     // Per-task clocks. spawnVC is live Pending->start; settleVC is
-    // live Settled->aged (awaits and scope closes read it).
+    // live from the settle on (awaits read it).
     std::vector<VectorClock> spawnVC_;
     std::vector<VectorClock> settleVC_;
     std::vector<Epoch> settleEpoch_;
-    std::vector<std::uint8_t> aged_;  ///< settle folded into window
     std::vector<std::uint64_t> startVtime_;  ///< for task spans
     /** Scope each task was spawned into (recorded at the spawn op, so
      * streaming sources need no entity-table support). */
@@ -161,14 +141,10 @@ class AsyncTaskModel : public CausalityModel
     std::vector<VectorClock> scopeJoin_;    ///< settled members' join
     std::vector<std::uint32_t> scopeOpen_;  ///< unsettled member count
 
-    WindowClock window_;
-    /** Settled tasks in settle order, for window aging. */
-    std::deque<std::pair<std::uint64_t, trace::EventId>> settled_;
-
-    /** Running byte totals of everything memoryBytes() reports except
-     * settled_ (sized on read): per-task clocks as EventMeta, all
-     * other clocks as VectorClock, the chain records as Other. A
-     * clock's clear() keeps its capacity, so it needs no re-booking. */
+    /** Running byte totals of everything memoryBytes() reports:
+     * per-task clocks as EventMeta, all other clocks as VectorClock,
+     * the chain records as Other. A clock's clear() keeps its
+     * capacity, so it needs no re-booking. */
     MemCatBytes booked_;
 
     std::vector<std::uint8_t> threadPhase_;
@@ -179,7 +155,6 @@ class AsyncTaskModel : public CausalityModel
     std::uint64_t tasksAwaited_ = 0;
     std::uint64_t tasksCancelled_ = 0;
     std::uint64_t scopesClosed_ = 0;
-    std::uint64_t windowFolds_ = 0;
     std::uint64_t tasksLive_ = 0;  ///< spawned, not yet settled
     std::uint64_t tasksLivePeak_ = 0;
 

@@ -35,7 +35,8 @@ struct DetectorConfig
     /** Time-window approximation: events older than this (virtual ms)
      * are assumed ordered before new events and their metadata is
      * invalidated. 0 disables the window. Default: the paper's
-     * 2-minute window. */
+     * 2-minute window. Looper model only: the async model has no
+     * window, and its engine runs with 0. */
     std::uint64_t windowMs = 120000;
 
     /** Run a garbage-collection sweep (drop dead/aged AsyncClock

@@ -29,6 +29,10 @@ DetectorEngine::DetectorEngine(ModelKind model, trace::TraceSource &src,
                                DetectorConfig cfg)
     : source_(&src), checker_(checker), cfg_(cfg)
 {
+    // The time window stands in for old events of a looper queue; a
+    // task graph has none, so per-op aging and rungs 2-3 never run.
+    if (model == ModelKind::Async)
+        cfg_.windowMs = 0;
     gcIntervalEff_ = (cfg_.memBudgetBytes > 0 && cfg_.gcIntervalOps > 512)
                          ? 512
                          : cfg_.gcIntervalOps;

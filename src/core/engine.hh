@@ -124,7 +124,7 @@ class DetectorEngine : public report::Detector
     const trace::TraceMeta &meta() const { return source_->meta(); }
     report::AccessChecker &checker() { return checker_; }
     /** The run's configuration; the pressure ladder shrinks its
-     * windowMs. */
+     * windowMs, which is 0 for the async model. */
     const DetectorConfig &cfg() const { return cfg_; }
     DetectorCounters &countersMut() { return counters_; }
     /** Count a tolerated causality-invariant violation; charges the

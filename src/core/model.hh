@@ -102,6 +102,8 @@ WeakOrderingSpec weakOrderingFor(ModelKind kind);
  * Over a memory budget the engine climbs its degradation ladder with
  * the same hooks: aggressiveSweep(), then window halvings with
  * ageWindow() and gcSweep(), then ageWindow() with an unbounded now.
+ * With the window off (always, for the async model) the engine makes
+ * no ageWindow() call and the ladder stops after its first rung.
  * Tolerated causality anomalies are reported back through
  * DetectorEngine::noteAnomaly(), which charges the same budget.
  */
@@ -126,8 +128,9 @@ class CausalityModel
                          trace::OpId id) = 0;
 
     /** Age out metadata that ended more than the configured time
-     * window before @p now. True if anything left the aging queue. */
-    virtual bool ageWindow(std::uint64_t now) = 0;
+     * window before @p now. True if anything left the aging queue.
+     * A model without a time window keeps this default. */
+    virtual bool ageWindow(std::uint64_t /*now*/) { return false; }
 
     /** Periodic garbage-collection sweep. */
     virtual void gcSweep() = 0;

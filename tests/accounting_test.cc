@@ -4,8 +4,9 @@
  * FastTrack checker keep must equal the byteSize() walks they replace,
  * in every category, after every operation — under the default
  * configuration, without heirless reclaim, without a time window, and
- * with a budget tight enough that every memory-pressure rung fires.
- * The async model's ladder decisions under that budget are pinned.
+ * with a budget tight enough that every memory-pressure rung fires
+ * (the async model has no window, so only its first rung can). The
+ * async model's ladder decisions under that budget are pinned.
  */
 
 #include <gtest/gtest.h>
@@ -134,17 +135,11 @@ TEST(Accounting, AsyncTotalsMatchWalkAfterEveryOp)
         workload::AsyncProfile p = workload::asyncProfileByName(profile);
         p.rootTasks *= 10;
         trace::Trace tr = workload::generateAsyncApp(p).trace;
-        // A short window ages settled tasks into the window clock and
-        // lets the sweep drop retired chain clocks; the budget runs
-        // the pressure ladder.
-        DetectorConfig shortWindow;
-        shortWindow.windowMs = 20;
-        shortWindow.gcIntervalOps = 256;
+        // The budget runs the pressure ladder.
         DetectorConfig budget;
         budget.memBudgetBytes = 16 * 1024;
         const std::pair<const char *, DetectorConfig> configs[] = {
             {"defaults", DetectorConfig{}},
-            {"20 ms window", shortWindow},
             {"16K budget", budget},
         };
         for (const auto &[name, cfg] : configs) {
@@ -154,10 +149,70 @@ TEST(Accounting, AsyncTotalsMatchWalkAfterEveryOp)
             EXPECT_GT(d.peak[MemCat::EventMeta], 0u) << what;
             EXPECT_GT(d.peak[MemCat::VectorClock], 0u) << what;
             EXPECT_EQ(d.peak[MemCat::AsyncClock], 0u) << what;
-            if (cfg.windowMs == 20)
-                EXPECT_GT(d.counters.invalidatedByWindow, 0u) << what;
             if (cfg.memBudgetBytes > 0)
                 EXPECT_GT(d.counters.pressureGcSweeps, 0u) << what;
+        }
+    }
+}
+
+/** One async-model run: its counters, the races it found and the
+ * peak of modelBytes() read between ops. */
+struct AsyncRun
+{
+    core::DetectorCounters counters;
+    std::uint64_t windowMs = 0;  ///< the engine's window at the end
+    std::uint64_t peakModelBytes = 0;
+    std::vector<report::RaceReport> races;
+};
+
+AsyncRun
+runAsync(const trace::Trace &tr, const DetectorConfig &cfg)
+{
+    report::FastTrackChecker checker;
+    DetectorEngine eng(ModelKind::Async, tr, checker, cfg);
+    AsyncRun out;
+    while (eng.processNext())
+        out.peakModelBytes =
+            std::max(out.peakModelBytes, eng.model().modelBytes());
+    EXPECT_TRUE(eng.runStatus().isOk());
+    out.counters = eng.counters();
+    out.windowMs = eng.cfg().windowMs;
+    out.races = checker.races();
+    return out;
+}
+
+// The async model has no time window. A configured window and a
+// memory budget (whose rungs 2 and 3 age by the window) must neither
+// change the races nor raise peak metadata above the default run's.
+TEST(Accounting, AsyncWindowAndBudgetNeverRaiseMetadata)
+{
+    for (const char *profile :
+         {"AsyncTree", "AsyncPipeline", "AsyncFanOut"}) {
+        workload::AsyncProfile p = workload::asyncProfileByName(profile);
+        p.rootTasks *= 10;
+        trace::Trace tr = workload::generateAsyncApp(p).trace;
+        const AsyncRun base = runAsync(tr, DetectorConfig{});
+        DetectorConfig shortWindow;
+        shortWindow.windowMs = 20;
+        DetectorConfig budget;
+        budget.memBudgetBytes = 16 * 1024;
+        const std::pair<const char *, DetectorConfig> configs[] = {
+            {"20 ms window", shortWindow},
+            {"16K budget", budget},
+        };
+        for (const auto &[name, cfg] : configs) {
+            SCOPED_TRACE(std::string(profile) + ", " + name);
+            const AsyncRun r = runAsync(tr, cfg);
+            ASSERT_EQ(r.races.size(), base.races.size());
+            for (std::size_t i = 0; i < r.races.size(); ++i) {
+                EXPECT_EQ(r.races[i].var, base.races[i].var) << i;
+                EXPECT_EQ(r.races[i].prevOp, base.races[i].prevOp) << i;
+                EXPECT_EQ(r.races[i].curOp, base.races[i].curOp) << i;
+            }
+            EXPECT_EQ(r.counters.invalidatedByWindow, 0u);
+            EXPECT_EQ(r.counters.pressureWindowShrinks, 0u);
+            EXPECT_EQ(r.counters.pressureInvalidations, 0u);
+            EXPECT_LE(r.peakModelBytes, base.peakModelBytes);
         }
     }
 }
