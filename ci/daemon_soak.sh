@@ -25,6 +25,18 @@ cd "$WORK"
 
 fail() { echo "daemon_soak: FAIL: $*" >&2; exit 1; }
 
+# However the run ends (a failed check or a failed command), stop the
+# daemon and feed clients it started, so none is left serving.
+DAEMON_PID=""
+FEED_PIDS=""
+cleanup() {
+    for pid in $FEED_PIDS $DAEMON_PID; do
+        kill -9 "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    done
+}
+trap cleanup EXIT
+
 # ----- traces and single-shot baselines --------------------------------
 echo "== generating traces + baselines"
 "$BIN" gen Firefox looper_a.trace 0.15 >/dev/null
@@ -63,7 +75,6 @@ start_daemon() {
 start_daemon events1.jsonl
 
 echo "== feeding $SESSIONS concurrent session(s)"
-FEED_PIDS=""
 # The fault-injected sessions are pinned to looper traces: their
 # faults fire at specific 32 KiB chunk indices, and the async traces
 # are small enough to fit in a single chunk (the fault would never
@@ -100,6 +111,7 @@ FEED_FAILS=0
 for pid in $FEED_PIDS; do
     wait "$pid" || FEED_FAILS=$((FEED_FAILS + 1))
 done
+FEED_PIDS=""
 # Exactly one feed is allowed to fail: the poisoned session exits 3.
 [ "$FEED_FAILS" -le 1 ] || fail "$FEED_FAILS feed client(s) failed"
 
@@ -126,6 +138,7 @@ grep -q "quarantined" feed7.log || fail "feed7 missed the 410"
 echo "== SIGKILL daemon mid-flight (sess11 unfinished)"
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
+DAEMON_PID=""
 start_daemon events2.jsonl
 
 "$BIN" feed "$RESYNC_TRACE.trace" --port="$PORT" --session=sess11 \
@@ -157,6 +170,7 @@ echo "== SIGTERM drain"
 kill -TERM "$DAEMON_PID"
 DRAIN_RC=0
 wait "$DAEMON_PID" || DRAIN_RC=$?
+DAEMON_PID=""
 [ "$DRAIN_RC" -eq 0 ] || fail "drain exited $DRAIN_RC"
 grep -q "drained; exiting" daemon.out || fail "no drain message"
 
