@@ -18,8 +18,7 @@
  * BENCH_async.json). --metrics-out attaches a fresh metrics registry
  * to every profile run (the engine's detector.* and model.* series
  * plus the generator's taskgraph.* series) and writes the combined
- * snapshots as one JSON document keyed by profile — the
- * bench_streaming convention.
+ * snapshots as one JSON document keyed by profile.
  */
 
 #include <algorithm>
@@ -176,8 +175,7 @@ main(int argc, char **argv)
     }
 
     if (withMetrics) {
-        // One document, one complete metrics snapshot per profile
-        // (the bench_streaming convention).
+        // One document, one complete metrics snapshot per profile.
         JsonWriter w;
         w.beginObject();
         w.field("scale", scale);

@@ -1,6 +1,6 @@
 /**
  * @file
- * VectorClock against the dense reference clock (bench/dense_clock.hh).
+ * VectorClock against the dense reference clock (tests/dense_clock.hh).
  *
  * A random-op differential test drives a universe of sparse clocks and
  * a universe of dense ones with the same operation stream and compares
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "../bench/dense_clock.hh"
+#include "dense_clock.hh"
 #include "clock/vector_clock.hh"
 #include "support/format.hh"
 #include "support/rng.hh"

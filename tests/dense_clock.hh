@@ -9,19 +9,18 @@
  * dense form wastes O(#chains) space per clock and O(#chains) time
  * per join regardless of how few entries are nonzero. The paper's
  * answer is the sparse representation (clock/vector_clock.hh,
- * following accordion clocks [7]); `bench_micro_clocks` measures the
- * two against each other across sparsity levels.
+ * following accordion clocks [7]).
  *
  * Interface-compatible with clock::VectorClock for the operations the
  * detectors use, so it can also be dropped into experiments.
  *
- * Lives in bench/ (not src/clock/) because nothing in the library
- * proper uses it: it exists only so the micro-benchmarks and the
- * equivalence tests can measure sparse against it.
+ * Lives in tests/ (not src/clock/) because nothing in the library
+ * proper uses it: it exists only as the reference the equivalence
+ * tests check the sparse clock against.
  */
 
-#ifndef ASYNCCLOCK_BENCH_DENSE_CLOCK_HH
-#define ASYNCCLOCK_BENCH_DENSE_CLOCK_HH
+#ifndef ASYNCCLOCK_TESTS_DENSE_CLOCK_HH
+#define ASYNCCLOCK_TESTS_DENSE_CLOCK_HH
 
 #include <algorithm>
 #include <cstdint>
@@ -120,4 +119,4 @@ class DenseClock
 
 } // namespace asyncclock::clock
 
-#endif // ASYNCCLOCK_BENCH_DENSE_CLOCK_HH
+#endif // ASYNCCLOCK_TESTS_DENSE_CLOCK_HH

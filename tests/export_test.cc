@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "../bench/dense_clock.hh"
+#include "dense_clock.hh"
 #include "core/detector.hh"
 #include "report/export.hh"
 #include "report/fasttrack.hh"
