@@ -359,12 +359,7 @@ AsyncTaskModel::onTaskFinish(const Operation &op)
     ChainId c = taskChain_[e];
     Epoch end = tickChain(c);
     Chain &ch = chains_[c];
-    // Nothing reads a finished chain's clock again (a reusing task
-    // overwrites it), so the settle clock takes it instead of a copy.
-    std::uint64_t before = ch.vc.byteSize();
-    settleTask(e, taskScope_[e], std::move(ch.vc), end);
-    ch.vc.clear();
-    rebook(MemCat::VectorClock, before, ch.vc);
+    settleTask(e, taskScope_[e], ch.vc, end);
     ch.lastEnd = end;
     freeChains_.push_back(c);
 
@@ -380,21 +375,21 @@ AsyncTaskModel::onTaskFinish(const Operation &op)
 }
 
 void
-AsyncTaskModel::settleTask(EventId task, HandleId scope, VectorClock vc,
-                           Epoch settleEpoch)
+AsyncTaskModel::settleTask(EventId task, HandleId scope,
+                           const VectorClock &vc, Epoch settleEpoch)
 {
+    std::uint64_t before = settleVC_[task].byteSize();
+    settleVC_[task] = vc;
+    rebook(MemCat::EventMeta, before, settleVC_[task]);
+    settleEpoch_[task] = settleEpoch;
     if (scope != kInvalidId) {
         VectorClock &join = scopeJoin_[scope];
-        std::uint64_t before = join.byteSize();
+        before = join.byteSize();
         join.joinWith(vc);
         rebook(MemCat::VectorClock, before, join);
         ++counters_.clockJoins;
         --scopeOpen_[scope];
     }
-    std::uint64_t before = settleVC_[task].byteSize();
-    settleVC_[task] = std::move(vc);
-    rebook(MemCat::EventMeta, before, settleVC_[task]);
-    settleEpoch_[task] = settleEpoch;
     --tasksLive_;
 }
 

@@ -69,9 +69,8 @@ class AsyncTaskModel : public CausalityModel
     using Epoch = clock::Epoch;
 
     /** One task/thread chain: a tick counter and a vector clock.
-     * A finished task's clock moves into its settle clock, and the
-     * chain is recycled once its last task's settle time is known to
-     * a successor (lastEnd). */
+     * Task chains are recycled once their last task's settle time is
+     * known to a successor (lastEnd). */
     struct Chain
     {
         clock::Tick tick = 0;
@@ -105,11 +104,10 @@ class AsyncTaskModel : public CausalityModel
 
     void onTaskStart(const trace::Operation &op);
     void onTaskFinish(const trace::Operation &op);
-    /** Settle bookkeeping shared by finish and cancel: join @p vc
-     * into the scope, close the scope slot and keep @p vc as the
-     * task's settle clock. */
+    /** Settle bookkeeping shared by finish and cancel: record the
+     * settle clock and close the scope slot. */
     void settleTask(trace::EventId task, trace::HandleId scope,
-                    VectorClock vc, Epoch settleEpoch);
+                    const VectorClock &vc, Epoch settleEpoch);
 
     DetectorEngine &engine_;
     /** Engine-owned services (see looper_model.hh). */

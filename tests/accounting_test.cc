@@ -238,11 +238,11 @@ TEST(Accounting, AsyncLadderDecisionsPinned)
         std::vector<Race> races;
     };
     const Pin pins[] = {
-        {"AsyncTree", 4, 331, 4, 5 + 4, 93080,
+        {"AsyncTree", 5, 331, 4, 5 + 5, 132440,
          {{25, 25, 29}, {32, 62, 63}, {41, 89, 97}, {48, 135, 136}}},
-        {"AsyncPipeline", 4, 226, 4, 5 + 4, 75984,
+        {"AsyncPipeline", 4, 226, 4, 5 + 4, 102992,
          {{31, 43, 52}, {38, 102, 105}, {45, 140, 141}, {58, 206, 209}}},
-        {"AsyncFanOut", 9, 650, 4, 10 + 9, 165392,
+        {"AsyncFanOut", 10, 650, 4, 10 + 10, 239504,
          {{30, 18, 19}, {39, 84, 89}, {46, 127, 128}, {57, 185, 189}}},
     };
     for (const Pin &pin : pins) {
