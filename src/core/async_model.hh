@@ -25,10 +25,11 @@
  *
  * There is no time window: the paper's window (section 4.1) stands in
  * for old events of a looper queue, and a task graph has no queues.
- * Each task keeps one settle clock for later awaits and scope closes,
- * and its chain is recycled once a successor's start clock covers the
- * chain's last settle. Of the engine's memory-pressure ladder only the
- * first rung, gcSweep(), applies.
+ * Each task keeps its settle clock for later awaits (scope closes
+ * read the scope's join of them), and its chain is recycled once a
+ * successor's start clock covers the chain's last settle. Of the
+ * engine's memory-pressure ladder only the first rung, gcSweep(),
+ * applies.
  */
 
 #ifndef ASYNCCLOCK_CORE_ASYNC_MODEL_HH

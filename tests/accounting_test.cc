@@ -149,8 +149,9 @@ TEST(Accounting, AsyncTotalsMatchWalkAfterEveryOp)
             EXPECT_GT(d.peak[MemCat::EventMeta], 0u) << what;
             EXPECT_GT(d.peak[MemCat::VectorClock], 0u) << what;
             EXPECT_EQ(d.peak[MemCat::AsyncClock], 0u) << what;
-            if (cfg.memBudgetBytes > 0)
+            if (cfg.memBudgetBytes > 0) {
                 EXPECT_GT(d.counters.pressureGcSweeps, 0u) << what;
+            }
         }
     }
 }
